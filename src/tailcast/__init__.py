@@ -14,7 +14,6 @@ Monte Carlo experiment harness (:mod:`tailcast.harness`) with a CLI
 __version__ = "0.1.0"
 
 from .distributions import (
-    AlphaStableSymmetric,
     Cauchy,
     Gaussian,
     Levy,

@@ -1,9 +1,9 @@
 """Marginal distribution families used as prediction weights and process laws.
 
-Five parametric families, each exposing cdf/pdf/quantile/sample plus a
+Four parametric families, each exposing cdf/pdf/quantile/sample plus a
 quantile-based parameter estimator. Heavy-tailed members (Cauchy, Levy,
-symmetric alpha-stable, Student-t with nu < 2) have no usable moments, so
-every estimator here works through order statistics only.
+Student-t with nu < 2) have no usable moments, so every estimator here
+works through order statistics only.
 
 Models serialize to plain dicts ``{"family": name, "params": {...}}`` so run
 configurations and manifests can embed them as JSON.
@@ -21,7 +21,6 @@ from .errors import (
     DomainError,
     InsufficientData,
     NonFiniteInput,
-    Unsupported,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Gaussian",
     "Cauchy",
     "Levy",
-    "AlphaStableSymmetric",
     "StudentT",
     "estimate",
     "to_json",
@@ -202,61 +200,6 @@ class Levy(Marginal):
 
 
 @dataclass(frozen=True, repr=False)
-class AlphaStableSymmetric(Marginal):
-    """Symmetric alpha-stable law, index ``alpha`` in (0, 2], scale ``sigma``.
-
-    Sampling uses the Chambers-Mallows-Stuck transform and works for any
-    alpha. Closed-form cdf/pdf/quantile exist only at alpha = 1 (Cauchy) and
-    alpha = 2 (normal with standard deviation sigma*sqrt(2)); other indices
-    raise Unsupported.
-    """
-
-    alpha: float = 1.0
-    sigma: float = 1.0
-    family = "alpha_stable_symmetric"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.sigma)):
-            raise NonFiniteInput("parameters must be finite")
-        if not (0.0 < self.alpha <= 2.0):
-            raise DomainError("alpha must lie in (0, 2]")
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
-
-    def _closed_form(self):
-        if self.alpha == 1.0:
-            return Cauchy(0.0, self.sigma)
-        if self.alpha == 2.0:
-            return Gaussian(0.0, self.sigma * np.sqrt(2.0))
-        raise Unsupported(
-            f"no closed-form distribution functions for alpha={self.alpha}; "
-            "only alpha in {1, 2} are available"
-        )
-
-    def _cdf(self, x):
-        return self._closed_form()._cdf(x)
-
-    def _pdf(self, x):
-        return self._closed_form()._pdf(x)
-
-    def _quantile(self, p):
-        return self._closed_form()._quantile(p)
-
-    def sample(self, n, rng):
-        n = int(n)
-        v = np.pi * (rng.random(n) - 0.5)  # uniform on (-pi/2, pi/2)
-        w = rng.standard_exponential(n)
-        a = self.alpha
-        if a == 1.0:
-            return self.sigma * np.tan(v)
-        x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)) * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a)
-        return self.sigma * x
-
-    def params(self):
-        return {"alpha": float(self.alpha), "sigma": float(self.sigma)}
-
-
-@dataclass(frozen=True, repr=False)
 class StudentT(Marginal):
     """Student-t law with real degrees of freedom ``nu`` > 0.
 
@@ -315,7 +258,7 @@ class StudentT(Marginal):
 
 _FAMILIES = {
     cls.family: cls
-    for cls in (Gaussian, Cauchy, Levy, AlphaStableSymmetric, StudentT)
+    for cls in (Gaussian, Cauchy, Levy, StudentT)
 }
 
 
@@ -396,6 +339,4 @@ def estimate(family: str, data) -> Marginal:
         return Levy(2.0 * med * float(special.erfcinv(0.5)) ** 2)
     if family == "student_t":
         return _fit_student_t(data)
-    if family in _FAMILIES:
-        raise Unsupported(f"no estimator for family '{family}'")
     raise DomainError(f"unknown family '{family}'")

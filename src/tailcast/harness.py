@@ -29,6 +29,8 @@ from .distributions import Gaussian, Marginal
 from .errors import ConfigError, DivergedToNonFinite
 from .metrics import wasserstein2_samples
 from .objective import (
+    PREDICTOR_KINDS,
+    VARIANTS,
     ForecastDesign,
     ObjectiveSpec,
     Predictor,
@@ -36,7 +38,7 @@ from .objective import (
     extract_learning_samples,
     objective_value,
 )
-from .optimize import DescentConfig, init_candidates, solve
+from .optimize import COLD_STARTS, DescentConfig, init_candidates, solve
 from .processes import (
     ArStudentT,
     GaussExpCov,
@@ -104,19 +106,34 @@ class ExperimentSpec:
     wasserstein_raw: bool = False
 
     def __post_init__(self):
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ConfigError("h", "must be positive and finite")
         if self.replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
+        if self.init_count < 1:
+            raise ConfigError("init_count", "must be >= 1")
+        if self.max_rows is not None and self.max_rows < 1:
+            raise ConfigError("max_rows", "must be >= 1")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError("gamma", "must be finite and >= 0")
         if self.marginal_mode not in ("known", "estimated"):
             raise ConfigError("marginal_mode", "must be 'known' or 'estimated'")
         if self.marginal_mode == "estimated" and not self.marginal_family:
             raise ConfigError("marginal_family", "required when marginal_mode is 'estimated'")
-        if self.variant not in ("Q2", "Q3", "Q4"):
-            raise ConfigError("variant", "must be Q2, Q3 or Q4")
-        if self.predictor_kind not in ("linear", "squared", "max"):
-            raise ConfigError("predictor_kind", "must be linear, squared or max")
+        if self.variant not in VARIANTS:
+            raise ConfigError("variant", f"must be one of {VARIANTS}")
+        if self.predictor_kind not in PREDICTOR_KINDS:
+            raise ConfigError("predictor_kind", f"must be one of {PREDICTOR_KINDS}")
+        if self.init_strategy not in COLD_STARTS:
+            raise ConfigError("init_strategy", f"must be one of {COLD_STARTS}")
+        interval = tuple(float(v) for v in self.prediction_interval)
+        if len(interval) != 2 or interval[1] < interval[0]:
+            raise ConfigError("prediction_interval", "must be [lo, hi] with lo <= hi")
         object.__setattr__(self, "window", tuple(float(v) for v in self.window))
         object.__setattr__(self, "forecast_offsets", tuple(float(v) for v in self.forecast_offsets))
-        object.__setattr__(self, "prediction_interval", tuple(float(v) for v in self.prediction_interval))
+        object.__setattr__(self, "prediction_interval", interval)
 
     # --- derived geometry -------------------------------------------------
     @property
@@ -208,6 +225,15 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
+def _checked(key, value, kind):
+    """``value`` as ``kind``, refusing any coercion but int to float (JSON
+    writes 5.0 as 5); a boolean passes only as a boolean."""
+    accepted = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(key, f"must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
     if not isinstance(d, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -230,22 +256,22 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     kwargs = dict(
         name=str(d["name"]),
         process=_process_from_dict(d["process"]),
-        h=float(d["h"]),
+        h=_checked("h", d["h"], float),
         window=tuple(d["window"]),
         forecast_offsets=tuple(d["forecast_offsets"]),
         prediction_interval=tuple(d["prediction_interval"]),
         descent=descent,
     )
-    for key, cast in (("predictor_kind", str), ("variant", str), ("gamma", float),
+    for key, kind in (("predictor_kind", str), ("variant", str), ("gamma", float),
                       ("marginal_mode", str), ("replicates", int), ("seed", int),
                       ("warm_start", bool), ("init_strategy", str), ("init_count", int),
                       ("wasserstein_raw", bool)):
         if key in d:
-            kwargs[key] = cast(d[key])
+            kwargs[key] = _checked(key, d[key], kind)
     if d.get("marginal_family") is not None:
         kwargs["marginal_family"] = str(d["marginal_family"])
     if d.get("max_rows") is not None:
-        kwargs["max_rows"] = int(d["max_rows"])
+        kwargs["max_rows"] = _checked("max_rows", d["max_rows"], int)
     try:
         return ExperimentSpec(**kwargs)
     except ConfigError:
@@ -412,7 +438,7 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalRe
                 predicted = truth  # observed point reproduced exactly
             else:
                 pf = fits.fits[int(k)][m]
-                predicted = _predict_replicates(pf, Xf)
+                predicted = Predictor(pf.kind, pf.weights).values(Xf)
             f_pred = marginal.cdf(predicted)
             excursion[m][gi] = float(np.mean(np.abs(f_pred - f_truth)))
             if spec.wasserstein_raw:
@@ -421,15 +447,6 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalRe
                 wasser[m][gi] = wasserstein2_samples(f_truth, f_pred)
     times = np.array([_time_of(int(k), spec.h) for k in grid])
     return EvalReport(times, methods, excursion, wasser, R)
-
-
-def _predict_replicates(pf: PointFit, Xf: np.ndarray) -> np.ndarray:
-    w = pf.weights
-    if pf.kind == "linear":
-        return Xf @ w
-    if pf.kind == "squared":
-        return Xf @ (w * w)
-    return np.max(Xf * w, axis=1)
 
 
 def run_table1_benchmark(spec: ExperimentSpec) -> float:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .csvio import write_csv
 from .errors import DomainError, InsufficientData, LengthMismatch, NonFiniteInput
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "wasserstein2_to_uniform",
     "wasserstein2_samples",
     "gaussian_copula_diag",
-    "write_delta_csv",
-    "write_copula_diag_csv",
 ]
 
 _COPULA_GRID = np.linspace(0.0, 1.0, 512)  # fixed diagonal grid
@@ -210,13 +207,3 @@ def gaussian_copula_diag(rho: float, x: float) -> float:
     q = special.ndtri(x)
     val, _ = integrate.quad(lambda t: np.exp(-q * q / (1.0 + np.sin(t))), 0.0, np.arcsin(rho), limit=200)
     return float(x * x + val / (2.0 * np.pi))
-
-
-def write_delta_csv(path, levels, deltas):
-    """Export an excursion-gap curve as CSV with header ``u,delta``."""
-    write_csv(path, ["u", "delta"], zip(map(float, levels), map(float, deltas)))
-
-
-def write_copula_diag_csv(path, x, cxx):
-    """Export a copula-diagonal curve as CSV with header ``x,Cxx``."""
-    write_csv(path, ["x", "Cxx"], zip(map(float, x), map(float, cxx)))

@@ -15,6 +15,14 @@ yields N learning rows. Three per-row functionals are available:
 
 All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
+
+Only ``Predictor.values`` and ``Predictor.jacobian`` know the predictor form.
+Per-row and mean subgradients both read the rows they need from one row block
+(``_row_block``: predictions, jacobian rows, pdf values, Q2 coefficient), so
+a row's pdf is evaluated once per call. The row and mean forms of Q3/Q4 stay
+separate formulas even so: each keeps the order of floating-point operations
+that the pinned artifact digests were recorded with, and merging them would
+change those bytes.
 """
 
 from __future__ import annotations
@@ -152,6 +160,27 @@ class Predictor:
     def with_weights(self, w) -> "Predictor":
         return Predictor(self.kind, w)
 
+    def values(self, X) -> np.ndarray:
+        """Predictor value on each row of the 2-D array X."""
+        if self.kind == "linear":
+            return X @ self.weights
+        if self.kind == "squared":
+            return X @ (self.weights * self.weights)
+        return np.max(X * self.weights, axis=1)
+
+    def jacobian(self, X) -> np.ndarray:
+        """d g / d weights, one row per row of X."""
+        if self.kind == "linear":
+            return X
+        if self.kind == "squared":
+            return 2.0 * self.weights * X
+        scaled = X * self.weights
+        arg = np.argmax(scaled, axis=1)  # ties -> lowest index
+        G = np.zeros_like(X)
+        rows = np.arange(X.shape[0])
+        G[rows, arg] = X[rows, arg]
+        return G
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -204,54 +233,52 @@ def predict(p: Predictor, x_row) -> float:
     x = np.asarray(x_row, dtype=float).ravel()
     if x.size != p.weights.size:
         raise LengthMismatch(f"row length {x.size} != weight length {p.weights.size}")
-    if p.kind == "linear":
-        return float(p.weights @ x)
-    if p.kind == "squared":
-        return float((p.weights * p.weights) @ x)
-    return float(np.max(p.weights * x))
+    return float(p.values(x[None, :])[0])
 
 
-def _predict_rows(p: Predictor, X) -> np.ndarray:
-    if p.kind == "linear":
-        return X @ p.weights
-    if p.kind == "squared":
-        return X @ (p.weights * p.weights)
-    return np.max(X * p.weights, axis=1)
-
-
-def _grad_rows(p: Predictor, X) -> np.ndarray:
-    """d g / d weights, one row per learning row."""
-    if p.kind == "linear":
-        return X
-    if p.kind == "squared":
-        return 2.0 * p.weights * X
-    scaled = X * p.weights
-    arg = np.argmax(scaled, axis=1)  # ties -> lowest index
-    G = np.zeros_like(X)
-    rows = np.arange(X.shape[0])
-    G[rows, arg] = X[rows, arg]
-    return G
-
-
-def _check_row(samples, j):
+def _row_indices(spec, samples, j, bootstrap_index):
+    """Checked row index j and, for Q3 only, the checked bootstrap row index."""
+    b = None
+    if spec.variant == "Q3":
+        if bootstrap_index is None:
+            raise MissingBootstrap("Q3 needs a bootstrap row index")
+        b = int(bootstrap_index)
     j = int(j)
-    if not (0 <= j < samples.count):
-        raise IndexOutOfRange(f"row {j} outside 0..{samples.count - 1}")
-    return j
+    for r in (j, b):
+        if r is not None and not (0 <= r < samples.count):
+            raise IndexOutOfRange(f"row {r} outside 0..{samples.count - 1}")
+    return j, b
 
 
-def _bootstrap_value(spec, p, samples, bootstrap_index):
-    if bootstrap_index is None:
-        raise MissingBootstrap("Q3 needs a bootstrap row index")
-    b = int(bootstrap_index)
-    if not (0 <= b < samples.count):
-        raise IndexOutOfRange(f"bootstrap row {b} outside 0..{samples.count - 1}")
-    return b
+def _bootstrap_rows(spec, rng, count):
+    """One bootstrap resample of the row indices, drawn from rng or spec.bootstrap."""
+    if rng is not None:
+        g = as_generator(rng)
+    elif spec.bootstrap is not None:
+        g = spec.bootstrap.generator()
+    else:
+        raise MissingBootstrap("Q3 evaluation needs an rng or ObjectiveSpec.bootstrap to be set")
+    return g.integers(0, count, size=count)
+
+
+def _row_block(spec, p, samples, *parts):
+    """Predictions, jacobian rows, pdf values and the Q2 coefficient
+    (2 [y < g] - 1) pdf(g) of the learning rows in ``parts``, stacked in order.
+
+    Each part gets its own ``Predictor.values`` call: a BLAS matrix-vector
+    product rounds a row differently depending on how many rows it holds, and
+    the pinned artifacts depend on those bits.
+    """
+    X = np.concatenate([samples.X[s] for s in parts])
+    y = np.concatenate([samples.y[s] for s in parts])
+    g = np.concatenate([p.values(samples.X[s]) for s in parts])
+    pg = spec.marginal.pdf(g)
+    return g, p.jacobian(X), pg, (2.0 * (y < g) - 1.0) * pg
 
 
 def q_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> float:
     """Per-row functional value; see the module docstring for the three forms."""
-    j = _check_row(samples, j)
+    j, b = _row_indices(spec, samples, j, bootstrap_index)
     F = spec.marginal.cdf
     ghat = predict(p, samples.X[j])
     fg = F(ghat)
@@ -259,21 +286,12 @@ def q_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, boot
     if spec.variant == "Q2":
         return float(q2)
     if spec.variant == "Q3":
-        b = _bootstrap_value(spec, p, samples, bootstrap_index)
         yb = F(predict(p, samples.X[b]))
         return float(q2 + spec.gamma * (fg * fg - max(fg, yb)))
     # Q4: running-rank penalty over rows i < j, empty sum for j = 0
-    fprev = F(_predict_rows(p, samples.X[:j])) if j > 0 else np.empty(0)
+    fprev = F(p.values(samples.X[:j])) if j > 0 else np.empty(0)
     run = fg + 2.0 * float(np.sum(np.maximum(fprev, fg)))
     return float(q2 + spec.gamma * fg * fg - spec.gamma / samples.count * run)
-
-
-def _q2_vector(spec, p, samples):
-    F = spec.marginal.cdf
-    ghat = _predict_rows(p, samples.X)
-    fg = F(ghat)
-    q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
-    return ghat, fg, q2
 
 
 def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> float:
@@ -282,13 +300,14 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
     from ``rng`` if given, else from ``spec.bootstrap``.
     """
-    ghat, fg, q2 = _q2_vector(spec, p, samples)
+    F = spec.marginal.cdf
+    ghat = p.values(samples.X)
+    fg = F(ghat)
+    q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
     if spec.variant == "Q2":
         return float(np.mean(q2))
     if spec.variant == "Q3":
-        g = _resolve_rng(spec, rng)
-        idx = g.integers(0, samples.count, size=samples.count)
-        yb = fg[idx]
+        yb = fg[_bootstrap_rows(spec, rng, samples.count)]
         return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
     # Q4 mean via the sorted identity:
     # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
@@ -298,66 +317,41 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
     return float(np.mean(q2) + spec.gamma * np.mean(fg * fg) - spec.gamma / (n * n) * run_total)
 
 
-def _resolve_rng(spec, rng):
-    if rng is not None:
-        return as_generator(rng)
-    if spec.bootstrap is not None:
-        return spec.bootstrap.generator()
-    raise MissingBootstrap("Q3 evaluation needs an rng or ObjectiveSpec.bootstrap to be set")
-
-
 def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> np.ndarray:
     """Exact subgradient of the per-row functional in the weights."""
-    j = _check_row(samples, j)
-    F, pdf = spec.marginal.cdf, spec.marginal.pdf
-    xj = samples.X[j : j + 1]
-    ghat = float(_predict_rows(p, xj)[0])
-    gj = _grad_rows(p, xj)[0]
-    base = (2.0 * (samples.y[j] < ghat) - 1.0) * pdf(ghat) * gj
+    j, b = _row_indices(spec, samples, j, bootstrap_index)
+    F = spec.marginal.cdf
     if spec.variant == "Q2":
-        return base
+        _, G, _, coeff = _row_block(spec, p, samples, slice(j, j + 1))
+        return coeff[0] * G[0]
     if spec.variant == "Q3":
-        b = _bootstrap_value(spec, p, samples, bootstrap_index)
-        xb = samples.X[b : b + 1]
-        gb_val = float(_predict_rows(p, xb)[0])
-        gb = _grad_rows(p, xb)[0]
-        out = base + spec.gamma * (2.0 * F(ghat) - (gb_val < ghat)) * pdf(ghat) * gj
-        out = out - spec.gamma * (gb_val >= ghat) * pdf(gb_val) * gb
-        return out
-    # Q4
+        (gj, gb), G, pg, coeff = _row_block(spec, p, samples, slice(j, j + 1), slice(b, b + 1))
+        out = coeff[0] * G[0] + spec.gamma * (2.0 * F(gj) - (gb < gj)) * pg[0] * G[0]
+        return out - spec.gamma * (gb >= gj) * pg[1] * G[1]
+    # Q4: rows 0..j, with row j last
     N = samples.count
-    fg = F(ghat)
-    if j > 0:
-        gprev = _predict_rows(p, samples.X[:j])
-        Gprev = _grad_rows(p, samples.X[:j])
-        fprev = F(gprev)
-        smaller = float(np.sum(fprev < fg))
-        larger = fprev > fg
-        cross = (pdf(gprev)[larger][:, None] * Gprev[larger]).sum(axis=0) if np.any(larger) else 0.0
-    else:
-        smaller, cross = 0.0, 0.0
-    coeff = spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * smaller)
-    return base + coeff * pdf(ghat) * gj - 2.0 * spec.gamma / N * cross
+    g, G, pg, coeff = _row_block(spec, p, samples, slice(0, j), slice(j, j + 1))
+    fall = F(g)
+    fg, fprev = fall[j], fall[:j]
+    smaller = float(np.sum(fprev < fg))
+    larger = fprev > fg
+    cross = (pg[:j][larger][:, None] * G[:j][larger]).sum(axis=0)
+    pen = spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * smaller)
+    return coeff[j] * G[j] + pen * pg[j] * G[j] - 2.0 * spec.gamma / N * cross
 
 
 def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> np.ndarray:
     """Subgradient of the mean functional (what batch descent steps along)."""
-    F, pdf = spec.marginal.cdf, spec.marginal.pdf
-    X = samples.X
-    N = samples.count
-    ghat = _predict_rows(p, X)
-    G = _grad_rows(p, X)
-    pg = pdf(ghat)
-    coeff = (2.0 * (samples.y < ghat) - 1.0) * pg
+    ghat, G, pg, coeff = _row_block(spec, p, samples, slice(None))
     if spec.variant == "Q2":
         return (coeff[:, None] * G).mean(axis=0)
-    fg = F(ghat)
+    N = samples.count
+    fg = spec.marginal.cdf(ghat)
     if spec.variant == "Q3":
-        g = _resolve_rng(spec, rng)
-        idx = g.integers(0, N, size=N)
+        idx = _bootstrap_rows(spec, rng, N)
         gb = ghat[idx]
         coeff = coeff + spec.gamma * (2.0 * fg - (gb < ghat)) * pg
-        cross = -spec.gamma * (gb >= ghat) * pdf(gb)
+        cross = -spec.gamma * (gb >= ghat) * pg[idx]
         return ((coeff[:, None] * G) + (cross[:, None] * G[idx])).mean(axis=0)
     # Q4: r_j = #{i<j: F_i < F_j}; c_i = #{j>i: F_j < F_i}
     less = fg[:, None] < fg[None, :]  # less[i, j] = F_i < F_j

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 MODES = ("batch", "online")
+COLD_STARTS = ("unit", "simplex")  # init strategies that need no previous solution
 SELECTIONS = ("last", "polyak", "best")
 CONSTRAINTS = ("unconstrained", "nonneg", "ball")
 
@@ -169,7 +170,7 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
             raise DomainError("warm strategy needs a previous weight vector")
         cands = [np.asarray(warm, dtype=float).copy()] + [np.eye(n)[j] for j in range(n)]
     else:
-        raise DomainError("strategy must be one of ('unit', 'simplex', 'warm')")
+        raise DomainError(f"strategy must be one of {COLD_STARTS + ('warm',)}")
     g_eval = as_generator(rng) if rng is not None else None
     scored = []
     for w in cands:
@@ -189,16 +190,15 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     avg_sum, avg_count = np.zeros_like(lam), 0
 
     def record(l, current):
+        nonlocal best_val, best_lam
         val = float(problem.value(p0.with_weights(current), g))
         trace_iters.append(l)
         trace_vals.append(val)
         trace_lams.append(current.copy())
-        return val
+        if val < best_val:
+            best_val, best_lam = val, current.copy()
 
-    val0 = record(0, lam)
-    if val0 < best_val:
-        best_val, best_lam = val0, lam.copy()
-
+    record(0, lam)
     steps = 0
     for l in range(cfg.max_iter):
         if l >= cfg.burn_in:
@@ -217,14 +217,10 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
         lam = new
         steps = l + 1
         if steps % cfg.trace_stride == 0 or steps == cfg.max_iter:
-            val = record(steps, lam)
-            if val < best_val:
-                best_val, best_lam = val, lam.copy()
+            record(steps, lam)
         if cfg.tol > 0 and delta < cfg.tol:
             if trace_iters[-1] != steps:
-                val = record(steps, lam)
-                if val < best_val:
-                    best_val, best_lam = val, lam.copy()
+                record(steps, lam)
             break
 
     if cfg.selection == "last":

@@ -39,11 +39,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
 
-    def split(self, index: int) -> "RngStream":
-        """Derived stream with a distinct id, deterministic in ``index``."""
-        mixed = (int(self.stream) * 0x9E3779B97F4A7C15 + 2 * int(index) + 1) & _MASK64
-        return RngStream(self.seed, mixed)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, a Generator, or an int seed; return a Generator."""

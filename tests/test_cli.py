@@ -132,6 +132,14 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert "extra_knob" in capsys.readouterr().err
 
 
+def test_bad_config_value_exit_code_before_simulating(tmp_path, capsys):
+    cfg = tiny_config(tmp_path, h=0)
+    out = tmp_path / "o"
+    assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 2
+    assert "'h'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preset_configs_all_load():
     from tailcast.cli import _load_config
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tailcast.distributions import (
-    AlphaStableSymmetric,
     Cauchy,
     Gaussian,
     Levy,
@@ -16,7 +15,6 @@ from tailcast.errors import (
     DomainError,
     InsufficientData,
     NonFiniteInput,
-    Unsupported,
 )
 from tailcast.rng import RngStream
 
@@ -27,8 +25,6 @@ ALL_MODELS = [
     Cauchy(1.0, 2.0),
     Levy(1.0),
     Levy(0.5),
-    AlphaStableSymmetric(1.0, 1.0),
-    AlphaStableSymmetric(2.0, 1.5),
     StudentT(0.0, 1.0, 0.8),
     StudentT(0.0, 10.0, 0.7),
     StudentT(2.0, 3.0, 5.0),
@@ -61,8 +57,7 @@ def test_sampler_against_cdf_kolmogorov_smirnov():
     """KS statistic below 1.95/sqrt(n) in at least 19 of 20 seeds."""
     n = 20000
     crit = 1.95 / np.sqrt(n)
-    for m in (Gaussian(0.0, 1.0), Cauchy(0.0, 1.0), Levy(1.0),
-              AlphaStableSymmetric(1.0, 1.0), StudentT(0.0, 1.0, 0.8)):
+    for m in (Gaussian(0.0, 1.0), Cauchy(0.0, 1.0), Levy(1.0), StudentT(0.0, 1.0, 0.8)):
         ok = 0
         for seed in range(20):
             g = RngStream(seed, 11).generator()
@@ -106,22 +101,6 @@ def test_levy_sampler_is_inverse_square_normal():
     assert med == pytest.approx(2.0 / 0.45493642311957283, rel=0.05)
 
 
-def test_stable_closed_forms_match_special_cases():
-    x = np.linspace(-8.0, 8.0, 41)
-    np.testing.assert_allclose(AlphaStableSymmetric(1.0, 1.0).cdf(x), Cauchy(0.0, 1.0).cdf(x), atol=1e-12)
-    np.testing.assert_allclose(AlphaStableSymmetric(2.0, 1.0).cdf(x),
-                               Gaussian(0.0, np.sqrt(2.0)).cdf(x), atol=1e-12)
-
-
-def test_stable_cdf_unsupported_for_general_alpha():
-    m = AlphaStableSymmetric(1.5, 1.0)
-    with pytest.raises(Unsupported):
-        m.cdf(0.0)
-    # sampling still works for any alpha
-    g = RngStream(0, 0).generator()
-    assert np.all(np.isfinite(m.sample(100, g)))
-
-
 def test_student_t_matches_cauchy_at_nu_one():
     x = np.linspace(-50.0, 50.0, 100)
     np.testing.assert_allclose(StudentT(0.0, 1.0, 1.0).cdf(x), Cauchy(0.0, 1.0).cdf(x), atol=1e-9)
@@ -153,8 +132,6 @@ def test_invalid_params_rejected():
         Levy(0.0)
     with pytest.raises(DomainError):
         StudentT(0.0, 1.0, -0.5)
-    with pytest.raises(DomainError):
-        AlphaStableSymmetric(2.5, 1.0)
 
 
 def test_scalar_and_array_dispatch():
@@ -210,5 +187,5 @@ def test_estimate_errors():
         estimate("gaussian", np.arange(10.0))
     with pytest.raises(DegenerateData):
         estimate("gaussian", np.full(100, 2.0))
-    with pytest.raises(Unsupported):
+    with pytest.raises(DomainError):
         estimate("alpha_stable_symmetric", np.arange(100.0))

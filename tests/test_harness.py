@@ -137,6 +137,25 @@ def test_spec_from_dict_defaults_apply():
     assert spec.descent == DescentConfig()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", 0), ("h", -0.1), ("h", float("inf")), ("h", float("nan")), ("h", "0.1"),
+    ("warm_start", "false"), ("wasserstein_raw", 1),
+    ("seed", 2.7), ("seed", True), ("seed", -1),
+    ("replicates", 2.0), ("replicates", True),
+    ("init_count", "8"), ("init_count", 0),
+    ("max_rows", 1.5), ("max_rows", False), ("max_rows", 0),
+    ("prediction_interval", [10.5, 10.3]), ("prediction_interval", [10.3]),
+    ("gamma", float("nan")), ("gamma", -1.0),
+    ("init_strategy", "bogus"), ("init_strategy", "warm"),
+])
+def test_spec_from_dict_rejects_bad_value_by_key(key, value):
+    d = spec_to_dict(tiny_gauss_spec())
+    d[key] = value
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict(d)
+    assert err.value.key == key
+
+
 # --- end-to-end fit and evaluation ----------------------------------------------------
 
 

@@ -25,13 +25,6 @@ def test_generator_path_keys_independent_substreams():
     np.testing.assert_array_equal(a, c)
 
 
-def test_split_is_deterministic_and_distinct():
-    s = RngStream(99, 0)
-    assert s.split(3) == s.split(3)
-    assert s.split(3) != s.split(4)
-    assert s.split(3).seed == s.seed
-
-
 def test_seed_validation():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
