@@ -360,7 +360,11 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
                 rng=fit_stream.generator(k, mi, 0))
             p0 = Predictor(spec.predictor_kind, cands[0])
             t_start = time.perf_counter()
-            res = solve(ospec, samples, p0, spec.descent, fit_stream.generator(k, mi, 1))
+            try:
+                res = solve(ospec, samples, p0, spec.descent, fit_stream.generator(k, mi, 1))
+            except DivergedToNonFinite as exc:
+                raise DivergedToNonFinite(f"{method} fit at t={t:g}: {exc}",
+                                          last_iterate=exc.last_iterate) from exc
             seconds = time.perf_counter() - t_start
             val = objective_value(ospec, Predictor(spec.predictor_kind, res.weights),
                                   samples, rng=fit_stream.generator(k, mi, 2))

@@ -340,6 +340,31 @@ def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, 
     return coeff[j] * G[j] + pen * pg[j] * G[j] - 2.0 * spec.gamma / N * cross
 
 
+def _rank_counts(f):
+    """(#{i<j: f_i < f_j}, #{i>j: f_i < f_j}) for every j, in O(N log^2 N).
+
+    ``total`` = #{i: f_i < f_j} doubles as an integer rank (ties share one).
+    Bottom-up merge levels then count, for each element of a right half, the
+    strictly smaller ranks in its left half: in the sorted left-half keys
+    ``block * N + rank``, the blocks before block b hold b * width keys, all
+    below b * N, so one ``searchsorted`` minus b * width is that count.
+    """
+    n = f.size
+    total = np.searchsorted(np.sort(f), f, side="left")
+    pos = np.arange(n)
+    before = np.zeros(n, dtype=total.dtype)
+    width = 1
+    while width < n:
+        block, offset = np.divmod(pos, 2 * width)
+        left = offset < width
+        right = ~left
+        keys = block * n + total
+        lk = np.sort(keys[left])
+        before[right] += np.searchsorted(lk, keys[right], side="left") - block[right] * width
+        width *= 2
+    return before, total - before
+
+
 def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> np.ndarray:
     """Subgradient of the mean functional (what batch descent steps along)."""
     ghat, G, pg, coeff = _row_block(spec, p, samples, slice(None))
@@ -353,11 +378,9 @@ def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples
         coeff = coeff + spec.gamma * (2.0 * fg - (gb < ghat)) * pg
         cross = -spec.gamma * (gb >= ghat) * pg[idx]
         return ((coeff[:, None] * G) + (cross[:, None] * G[idx])).mean(axis=0)
-    # Q4: r_j = #{i<j: F_i < F_j}; c_i = #{j>i: F_j < F_i}
-    less = fg[:, None] < fg[None, :]  # less[i, j] = F_i < F_j
-    tri = np.tril(np.ones((N, N), dtype=bool), k=-1).T  # upper triangle i < j
-    r = np.sum(less & tri, axis=0)
-    c = np.sum(less.T & tri, axis=1)
+    # Q4: r_j = #{i<j: F_i < F_j}, c_j = #{i>j: F_i < F_j}, exact int64 counts
+    # (the pinned bytes need the float updates below to see these integers)
+    r, c = _rank_counts(fg)
     coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
     coeff = coeff - 2.0 * spec.gamma / N * c * pg
     return (coeff[:, None] * G).mean(axis=0)

@@ -6,7 +6,8 @@ numpy/scipy pair; floating-point results may differ under other versions,
 so the test skips there. Together the cases reach all three predictor forms
 (``squared`` through the levy presets, ``max`` through the extra case), both
 interpolation and extrapolation designs, batch and online descent, all
-three functionals, and the estimated-marginal path of ``ar3``.
+three functionals (Q4 both online and in batch), and the estimated-marginal
+path of ``ar3``.
 
 After a numpy or scipy upgrade, re-pin by running
 
@@ -34,6 +35,11 @@ ARTIFACTS = ("weights.csv", "eval.csv")
 POINTS = 3
 REPLICATES = 50
 
+
+def preset_config(preset: str) -> dict:
+    return json.loads(resources.files("tailcast").joinpath(f"presets/{preset}.json").read_text())
+
+
 # case -> (preset, config overrides). From unit-vector starts the penalized
 # iterates of the presets rarely beat their start in three points, so their
 # weights.csv barely depends on the online row kernel; the simplex cases do.
@@ -41,6 +47,10 @@ CASES = {name: (name, {}) for name in PRESETS}
 CASES["gauss_extrap_max"] = ("gauss_extrap", {"predictor_kind": "max"})
 CASES["cauchy_interp_simplex"] = ("cauchy_interp", {"init_strategy": "simplex"})
 CASES["cauchy_extrap_q4_simplex"] = ("cauchy_extrap", {"variant": "Q4", "init_strategy": "simplex"})
+# Batch Q4 is the only path through the rank counts of ``mean_subgradient``.
+CASES["cauchy_extrap_q4_batch"] = ("cauchy_extrap", {
+    "variant": "Q4", "init_strategy": "simplex",
+    "descent": {**preset_config("cauchy_extrap")["descent"], "mode": "batch", "max_iter": 30}})
 
 PINS = {
     "numpy 2.4.6 / scipy 1.17.1": {
@@ -51,6 +61,10 @@ PINS = {
         "cauchy_extrap": {
             "weights.csv": "9a9e38f2f17a3630dd129ae19d88a2ed224e64119d5058cea035caf2830fe19a",
             "eval.csv": "23959206a6894a19e5ef0178bf72d766b17a9d68f9ca26434ab866fadf0d3631",
+        },
+        "cauchy_extrap_q4_batch": {
+            "weights.csv": "db823505597608f7eba28c925424bf563be6e94656bb25743391891c050057c0",
+            "eval.csv": "2feb15dbe087f9d59ac0f516b7af773a2b97eeb61eeefcf5ffaa15fe8f1d6b1c",
         },
         "cauchy_extrap_q4_simplex": {
             "weights.csv": "e4f5c87c351a7da23980bc91995da0f0792675adc2bd272235ad6075dee6da2e",
@@ -94,7 +108,7 @@ def versions_key() -> str:
 
 def case_spec(case: str):
     preset, overrides = CASES[case]
-    raw = json.loads(resources.files("tailcast").joinpath(f"presets/{preset}.json").read_text())
+    raw = preset_config(preset)
     raw.update(overrides)
     spec = spec_from_dict(raw)
     first, last = spec.fitted_indices[0], spec.fitted_indices[POINTS - 1]

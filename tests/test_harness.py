@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.errors import ConfigError
+from tailcast.errors import ConfigError, DivergedToNonFinite
+import tailcast.harness
 from tailcast.harness import (
     METHOD_ORDER,
     EvalReport,
@@ -238,6 +239,22 @@ def test_fit_deterministic(tiny_run):
     for k in spec.fitted_indices:
         for m in spec.methods:
             assert np.array_equal(fits.fits[k][m].weights, fits2.fits[k][m].weights)
+
+
+def test_fit_divergence_names_point_and_method(monkeypatch):
+    real_solve = tailcast.harness.solve
+    last = np.array([0.5, -0.5])
+
+    def solve(ospec, samples, p0, cfg, rng):
+        if ospec.variant != "Q2":
+            raise DivergedToNonFinite("non-finite iterate at step 3", last_iterate=last)
+        return real_solve(ospec, samples, p0, cfg, rng)
+
+    monkeypatch.setattr(tailcast.harness, "solve", solve)
+    with pytest.raises(DivergedToNonFinite, match=r"penalized fit at t=10\.3: non-finite iterate at step 3") as err:
+        run_fit(tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5))
+    assert err.value.last_iterate is last
+    assert isinstance(err.value.__cause__, DivergedToNonFinite)
 
 
 def test_estimated_marginal_mode():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from tailcast.objective import (
     q_value,
     subgradient,
 )
+from tailcast.objective import _rank_counts
 from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
@@ -369,6 +372,65 @@ def test_subgradient_finite_difference_spot_check():
             dn = objective_value(spec, p.with_weights(p.weights - eps * d), samples)
             fd = (up - dn) / (2 * eps)
             assert fd == pytest.approx(float(np.dot(grad, d)), abs=2e-4)
+
+
+def rank_counts_oracle(f):
+    """The N x N form: r_j = #{i<j: f_i < f_j}, c_j = #{i>j: f_i < f_j}."""
+    less = f[:, None] < f[None, :]  # less[i, j] = f_i < f_j
+    tri = np.tril(np.ones((f.size, f.size), dtype=bool), k=-1).T  # i < j
+    return np.sum(less & tri, axis=0), np.sum(less.T & tri, axis=1)
+
+
+def _count_inputs():
+    g = RngStream(108, 0).generator()
+    yield "n1", g.uniform(size=1)
+    yield "n2", g.uniform(size=2)
+    yield "n2_tie", np.full(2, 0.5)
+    yield "n2_desc", np.array([0.9, 0.1])
+    yield "n1001", g.uniform(size=1001)
+    yield "all_equal", np.full(37, 0.25)
+    yield "ties_5_levels", np.round(4.0 * g.uniform(size=300)) / 4.0
+    # heavy-tailed cdf values pinned at the ends of [0, 1]
+    yield "saturated", np.clip(np.tan(np.pi * (g.uniform(size=257) - 0.5)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("name, f", list(_count_inputs()))
+def test_rank_counts_equal_nxn_oracle(name, f):
+    r, c = _rank_counts(f)
+    ro, co = rank_counts_oracle(f)
+    assert np.array_equal(r, ro) and r.dtype == ro.dtype
+    assert np.array_equal(c, co) and c.dtype == co.dtype
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_q4_mean_subgradient_bit_equal_to_nxn_formula(scale):
+    """Exact integer counts leave every float operation, and so every bit, as
+    the N x N form had them; scale 40 saturates the cdf into heavy ties."""
+    samples = make_samples(n_rows=503, seed=4)
+    spec = ObjectiveSpec("Q4", GAUSS, gamma=5.0)
+    p = Predictor("linear", scale * np.array([0.3, -0.2, 0.5]))
+    N = samples.count
+    ghat = p.values(samples.X)
+    G, pg, fg = p.jacobian(samples.X), GAUSS.pdf(ghat), GAUSS.cdf(ghat)
+    r, c = rank_counts_oracle(fg)
+    coeff = (2.0 * (samples.y < ghat) - 1.0) * pg
+    coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
+    coeff = coeff - 2.0 * spec.gamma / N * c * pg
+    assert np.array_equal(mean_subgradient(spec, p, samples), (coeff[:, None] * G).mean(axis=0))
+
+
+def test_q4_mean_subgradient_memory_is_linear_in_rows():
+    """N = 20000 rows fit in a few MB; an N x N bool matrix alone is 400 MB."""
+    samples = make_samples(n_rows=20_000, n_pred=10, seed=5)
+    spec = ObjectiveSpec("Q4", GAUSS, gamma=5.0)
+    p = Predictor("linear", np.full(10, 0.1))
+    tracemalloc.start()
+    try:
+        mean_subgradient(spec, p, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_centered_objective():
