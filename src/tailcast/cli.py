@@ -50,6 +50,8 @@ def _load_config(path: str) -> harness.ExperimentSpec:
 def _apply_overrides(spec, args):
     from dataclasses import replace
 
+    if args.threads < 1:
+        raise ConfigError("threads", "must be >= 1")
     if getattr(args, "seed", None) is not None:
         spec = replace(spec, seed=int(args.seed))
     if getattr(args, "replicates", None) is not None:

@@ -410,7 +410,13 @@ def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, r: int) -> np.nd
 
 
 def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalReport:
-    """Monte Carlo evaluation of the fitted predictors on fresh replicates."""
+    """Monte Carlo evaluation of the fitted predictors on fresh replicates.
+
+    Replicates are simulated on up to ``min(threads, replicates)`` worker
+    threads; every output byte is the same for any thread count.
+    """
+    if threads < 1:
+        raise ConfigError("threads", "must be >= 1")
     marginal = fits.marginal
     offsets = np.array(spec.offset_indices, dtype=int)
     grid = np.array(spec.grid_indices, dtype=int)
@@ -422,8 +428,9 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalRe
     def fill(r):
         V[r] = _replicate_values(spec, needed, r)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, R)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(R)))
     else:
         for r in range(R):

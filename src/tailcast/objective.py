@@ -16,17 +16,20 @@ yields N learning rows. Three per-row functionals are available:
 All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
 
-Only ``Predictor.values`` and ``Predictor.jacobian`` know the predictor form.
-Per-row and mean subgradients both read the rows they need from one row block
-(``_row_block``: predictions, jacobian rows, pdf values, Q2 coefficient), so
-a row's pdf is evaluated once per call. The row and mean forms of Q3/Q4 stay
-separate formulas even so: each keeps the order of floating-point operations
-that the pinned artifact digests were recorded with, and merging them would
-change those bytes.
+Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.row`` know
+the predictor form. The Q2/Q3 row subgradients, one per online descent step,
+work on the raw 1-D rows: ``Predictor.row`` gives each row's value and
+jacobian, and one unchecked pdf call covers the rows j and b. The Q4 row and
+every mean subgradient read their rows from one row block (``_row_block``:
+predictions, jacobian rows, pdf values, Q2 coefficient). The row and mean
+forms stay separate formulas even so: each keeps the order of floating-point
+operations that the pinned artifact digests were recorded with, and merging
+them would change those bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -160,6 +163,17 @@ class Predictor:
     def with_weights(self, w) -> "Predictor":
         return Predictor(self.kind, w)
 
+    def _with_finite_weights(self, w: np.ndarray) -> "Predictor":
+        """``with_weights`` without validation, for the descent loop.
+
+        ``w`` must be a finite 1-D float array of the current length; the loop
+        checks every new iterate for that before it gets here.
+        """
+        p = object.__new__(Predictor)
+        object.__setattr__(p, "kind", self.kind)
+        object.__setattr__(p, "weights", w)
+        return p
+
     def values(self, X) -> np.ndarray:
         """Predictor value on each row of the 2-D array X."""
         if self.kind == "linear":
@@ -180,6 +194,20 @@ class Predictor:
         rows = np.arange(X.shape[0])
         G[rows, arg] = X[rows, arg]
         return G
+
+    def row(self, x):
+        """Value (a float) and jacobian on the 1-D row x, bit-equal to
+        ``values`` and ``jacobian`` on that row as a one-row 2-D array."""
+        w = self.weights
+        if self.kind == "linear":
+            return float(x @ w), x
+        if self.kind == "squared":
+            return float(x @ (w * w)), 2.0 * w * x
+        scaled = x * w
+        k = np.argmax(scaled)  # ties -> lowest index
+        grad = np.zeros_like(x)
+        grad[k] = x[k]
+        return float(scaled[k]), grad
 
 
 @dataclass(frozen=True)
@@ -300,8 +328,10 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
     from ``rng`` if given, else from ``spec.bootstrap``.
     """
-    F = spec.marginal.cdf
+    F = spec.marginal._cdf  # unchecked: ghat is checked here, y on construction
     ghat = p.values(samples.X)
+    if not np.isfinite(ghat).all():
+        raise NonFiniteInput("predictions contain non-finite values")
     fg = F(ghat)
     q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
     if spec.variant == "Q2":
@@ -320,18 +350,27 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
 def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> np.ndarray:
     """Exact subgradient of the per-row functional in the weights."""
     j, b = _row_indices(spec, samples, j, bootstrap_index)
-    F = spec.marginal.cdf
+    m = spec.marginal
     if spec.variant == "Q2":
-        _, G, _, coeff = _row_block(spec, p, samples, slice(j, j + 1))
-        return coeff[0] * G[0]
+        gj, Gj = p.row(samples.X[j])
+        if not math.isfinite(gj):
+            raise NonFiniteInput("row prediction is not finite")
+        pj = m._pdf(np.array([gj])).item()
+        return (2.0 * (samples.y.item(j) < gj) - 1.0) * pj * Gj
     if spec.variant == "Q3":
-        (gj, gb), G, pg, coeff = _row_block(spec, p, samples, slice(j, j + 1), slice(b, b + 1))
-        out = coeff[0] * G[0] + spec.gamma * (2.0 * F(gj) - (gb < gj)) * pg[0] * G[0]
-        return out - spec.gamma * (gb >= gj) * pg[1] * G[1]
+        gj, Gj = p.row(samples.X[j])
+        gb, Gb = p.row(samples.X[b])
+        if not (math.isfinite(gj) and math.isfinite(gb)):
+            raise NonFiniteInput("row prediction is not finite")
+        pj, pb = m._pdf(np.array([gj, gb])).tolist()
+        fj = m._cdf(np.array([gj])).item()
+        coeff = (2.0 * (samples.y.item(j) < gj) - 1.0) * pj
+        out = coeff * Gj + spec.gamma * (2.0 * fj - (gb < gj)) * pj * Gj
+        return out - spec.gamma * (gb >= gj) * pb * Gb
     # Q4: rows 0..j, with row j last
     N = samples.count
     g, G, pg, coeff = _row_block(spec, p, samples, slice(0, j), slice(j, j + 1))
-    fall = F(g)
+    fall = m.cdf(g)
     fg, fprev = fall[j], fall[:j]
     smaller = float(np.sum(fprev < fg))
     larger = fprev > fg

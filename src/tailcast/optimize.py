@@ -187,11 +187,12 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     lam = project(cfg.constraint, np.array(p0.weights, dtype=float), cfg.radius)
     trace_iters, trace_vals, trace_lams = [], [], []
     best_val, best_lam = np.inf, lam.copy()
+    polyak = cfg.selection == "polyak"
     avg_sum, avg_count = np.zeros_like(lam), 0
 
     def record(l, current):
         nonlocal best_val, best_lam
-        val = float(problem.value(p0.with_weights(current), g))
+        val = float(problem.value(p0._with_finite_weights(current), g))
         trace_iters.append(l)
         trace_vals.append(val)
         trace_lams.append(current.copy())
@@ -201,31 +202,31 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     record(0, lam)
     steps = 0
     for l in range(cfg.max_iter):
-        if l >= cfg.burn_in:
+        if polyak and l >= cfg.burn_in:
             avg_sum += lam
             avg_count += 1
-        p = p0.with_weights(lam)
+        p = p0._with_finite_weights(lam)
         if cfg.mode == "batch":
             grad = problem.mean_grad(p, g)
         else:
             j = int(g.integers(0, problem.count))
             grad = problem.row_grad(p, j, g)
         new = project(cfg.constraint, lam - cfg.step(l) * np.asarray(grad, dtype=float), cfg.radius)
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=lam.copy())
-        delta = float(np.linalg.norm(new - lam))
+        stop = cfg.tol > 0 and float(np.linalg.norm(new - lam)) < cfg.tol
         lam = new
         steps = l + 1
         if steps % cfg.trace_stride == 0 or steps == cfg.max_iter:
             record(steps, lam)
-        if cfg.tol > 0 and delta < cfg.tol:
+        if stop:
             if trace_iters[-1] != steps:
                 record(steps, lam)
             break
 
     if cfg.selection == "last":
         chosen = lam
-    elif cfg.selection == "polyak":
+    elif polyak:
         chosen = avg_sum / avg_count if avg_count > 0 else lam
     else:
         chosen = best_lam

@@ -233,6 +233,42 @@ def test_eval_deterministic_and_thread_invariant(tiny_run):
         assert np.array_equal(report.wasserstein[m], threaded.wasserstein[m])
 
 
+def test_eval_rejects_threads_below_one(tiny_run):
+    spec, fits, _ = tiny_run
+    for threads in (0, -1):
+        with pytest.raises(ConfigError) as err:
+            run_eval(spec, fits, threads=threads)
+        assert err.value.key == "threads"
+
+
+def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
+    """The pool gets min(threads, replicates) workers; the stand-in runs the
+    replicates in this thread, so no thread is started."""
+    spec, fits, report = tiny_run
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tailcast.harness, "ThreadPoolExecutor", Recorder)
+    capped = run_eval(spec, fits, threads=64)
+    run_eval(spec, fits, threads=3)
+    run_eval(spec, fits, threads=1)
+    assert sizes == [spec.replicates, 3]
+    for m in report.methods:
+        assert np.array_equal(capped.excursion[m], report.excursion[m])
+
+
 def test_fit_deterministic(tiny_run):
     spec, fits, _ = tiny_run
     fits2 = run_fit(spec)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tailcast.distributions import Cauchy, Gaussian
+from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
 from tailcast.errors import (
     DomainError,
     IndexOutOfRange,
@@ -26,7 +26,7 @@ from tailcast.objective import (
     q_value,
     subgradient,
 )
-from tailcast.objective import _rank_counts
+from tailcast.objective import _rank_counts, _row_block
 from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
@@ -372,6 +372,75 @@ def test_subgradient_finite_difference_spot_check():
             dn = objective_value(spec, p.with_weights(p.weights - eps * d), samples)
             fd = (up - dn) / (2 * eps)
             assert fd == pytest.approx(float(np.dot(grad, d)), abs=2e-4)
+
+
+def row_subgradient_oracle(spec, p, samples, j, b=None):
+    """The Q2/Q3 row subgradient as the row block computes it: one-row 2-D
+    products, checked pdf/cdf calls, rows j and b stacked."""
+    F = spec.marginal.cdf
+    if spec.variant == "Q2":
+        _, G, _, coeff = _row_block(spec, p, samples, slice(j, j + 1))
+        return coeff[0] * G[0]
+    (gj, gb), G, pg, coeff = _row_block(spec, p, samples, slice(j, j + 1), slice(b, b + 1))
+    out = coeff[0] * G[0] + spec.gamma * (2.0 * F(gj) - (gb < gj)) * pg[0] * G[0]
+    return out - spec.gamma * (gb >= gj) * pg[1] * G[1]
+
+
+def _oracle_rows(n, seed):
+    """Gaussian and Cauchy rows plus the edge rows: all zeros (a Levy
+    prediction of exactly 0), all equal (max ties) and a copy of row 0
+    (gb == gj from two different rows)."""
+    g = RngStream(seed, 23).generator()
+    X = np.vstack([g.standard_normal((5, n)), g.standard_cauchy((4, n)),
+                   np.zeros((1, n)), np.full((1, n), 0.5)])
+    X = np.vstack([X, X[:1]])
+    return LearningSamples(g.standard_normal(X.shape[0]), X, np.arange(X.shape[0], dtype=float))
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 12])
+@pytest.mark.parametrize("kind", ["linear", "squared", "max"])
+def test_row_subgradient_bit_equal_to_row_block_oracle(kind, n):
+    samples = _oracle_rows(n, seed=n)
+    N = samples.count
+    g = RngStream(n, 29).generator()
+    # random signs give Levy predictions <= 0 (zero pdf); equal weights tie max
+    weight_sets = (g.standard_normal(n), np.full(n, 0.7))
+    marginals = (GAUSS, Cauchy(0.2, 1.5), Levy(0.8), StudentT(0.0, 1.0, 0.8))
+    for w in weight_sets:
+        p = Predictor(kind, w)
+        for marginal in marginals:
+            q2 = ObjectiveSpec("Q2", marginal)
+            q3 = ObjectiveSpec("Q3", marginal, gamma=5.0)
+            for j in range(N):
+                cases = [(q2, None), (q3, j), (q3, (5 * j + 1) % N), (q3, N - 1 - j)]
+                for spec, b in cases:
+                    got = subgradient(spec, p, samples, j, bootstrap_index=b)
+                    want = row_subgradient_oracle(spec, p, samples, j, b)
+                    assert np.array_equal(got, want) and got.dtype == want.dtype, (marginal, j, b)
+
+
+def test_row_subgradient_raises_on_overflowing_prediction():
+    X = np.array([[1e308, 1e308], [0.5, -0.25]])
+    samples = LearningSamples(np.zeros(2), X, np.arange(2.0))
+    p = Predictor("linear", np.array([10.0, 10.0]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput):
+            subgradient(ObjectiveSpec("Q2", GAUSS), p, samples, 0)
+        q3 = ObjectiveSpec("Q3", GAUSS, gamma=5.0)
+        for j, b in ((0, 1), (1, 0)):
+            with pytest.raises(NonFiniteInput):
+                subgradient(q3, p, samples, j, bootstrap_index=b)
+
+
+def test_objective_value_raises_on_overflowing_prediction():
+    X = np.array([[1e308, 1e308], [0.5, -0.25]])
+    samples = LearningSamples(np.zeros(2), X, np.arange(2.0))
+    p = Predictor("linear", np.array([10.0, 10.0]))
+    with np.errstate(over="ignore"):
+        for variant in ("Q2", "Q3", "Q4"):
+            with pytest.raises(NonFiniteInput):
+                objective_value(ObjectiveSpec(variant, GAUSS, gamma=5.0), p, samples,
+                                rng=RngStream(1, 2).generator())
 
 
 def rank_counts_oracle(f):

@@ -37,11 +37,15 @@ def load_tracer():
     return module.Tracer
 
 
-def test_tracer_reaches_every_hook_and_restores():
-    spec = tailcast.harness.ExperimentSpec(
+def one_point_spec():
+    return tailcast.harness.ExperimentSpec(
         name="hooks", process=GaussExpCov(), h=0.1, window=(0.0, 9.9),
         forecast_offsets=(10.0, 10.2), prediction_interval=(10.3, 10.3),
         variant="Q3", descent=DescentConfig(mode="online", max_iter=20), seed=7)
+
+
+def test_tracer_reaches_every_hook_and_restores():
+    spec = one_point_spec()
     originals = [owner.__dict__[attr] for owner, attr in HOOKED]
     tracer = load_tracer()(full=True)
     with tracer:
@@ -54,3 +58,14 @@ def test_tracer_reaches_every_hook_and_restores():
                  "distributions.pdf.calls", "objective.Predictor.inits"):
         assert metrics.get(name, 0) > 0, name
     assert [owner.__dict__[attr] for owner, attr in HOOKED] == originals
+
+
+def test_every_online_step_reaches_the_subgradient_hook():
+    tracer = load_tracer()(full=True)
+    with tracer:
+        tailcast.harness.run_fit(one_point_spec())
+    metrics = tracer.layer_metrics()
+    assert metrics["optimize.steps"] > 0
+    assert metrics["objective.subgradient.calls"] == metrics["optimize.steps"]
+    # the descent loop builds no validated Predictor per step
+    assert metrics["objective.Predictor.inits"] < metrics["optimize.steps"]
