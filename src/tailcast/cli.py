@@ -50,8 +50,6 @@ def _load_config(path: str) -> harness.ExperimentSpec:
 def _apply_overrides(spec, args):
     from dataclasses import replace
 
-    if args.threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     if getattr(args, "seed", None) is not None:
         spec = replace(spec, seed=int(args.seed))
     if getattr(args, "replicates", None) is not None:
@@ -90,6 +88,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = _apply_overrides(_load_config(args.config), args)
+    if args.threads < 1:
+        raise ConfigError("threads", "must be >= 1")
     fits = harness.run_fit(spec)
     report = harness.run_eval(spec, fits, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)

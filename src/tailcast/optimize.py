@@ -187,12 +187,11 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     lam = project(cfg.constraint, np.array(p0.weights, dtype=float), cfg.radius)
     trace_iters, trace_vals, trace_lams = [], [], []
     best_val, best_lam = np.inf, lam.copy()
-    polyak = cfg.selection == "polyak"
     avg_sum, avg_count = np.zeros_like(lam), 0
 
     def record(l, current):
         nonlocal best_val, best_lam
-        val = float(problem.value(p0._with_finite_weights(current), g))
+        val = float(problem.value(p0.with_weights(current), g))
         trace_iters.append(l)
         trace_vals.append(val)
         trace_lams.append(current.copy())
@@ -202,17 +201,17 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     record(0, lam)
     steps = 0
     for l in range(cfg.max_iter):
-        if polyak and l >= cfg.burn_in:
+        if l >= cfg.burn_in:
             avg_sum += lam
             avg_count += 1
-        p = p0._with_finite_weights(lam)
+        p = p0.with_weights(lam)
         if cfg.mode == "batch":
             grad = problem.mean_grad(p, g)
         else:
             j = int(g.integers(0, problem.count))
             grad = problem.row_grad(p, j, g)
         new = project(cfg.constraint, lam - cfg.step(l) * np.asarray(grad, dtype=float), cfg.radius)
-        if not np.isfinite(new).all():
+        if not np.all(np.isfinite(new)):
             raise DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=lam.copy())
         stop = cfg.tol > 0 and float(np.linalg.norm(new - lam)) < cfg.tol
         lam = new
@@ -226,7 +225,7 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
 
     if cfg.selection == "last":
         chosen = lam
-    elif polyak:
+    elif cfg.selection == "polyak":
         chosen = avg_sum / avg_count if avg_count > 0 else lam
     else:
         chosen = best_lam
