@@ -133,7 +133,11 @@ def _demo_pairs(kind: str, rho: float, n: int, seed: int) -> PairedSample:
 def _cmd_demo_metrics(args) -> int:
     if not (-1.0 <= args.rho <= 1.0):
         raise ConfigError("rho", "must lie in [-1, 1]")
-    sample = _demo_pairs(args.pairs, args.rho, args.n, args.seed or 0)
+    if args.n < 10:
+        raise ConfigError("n", "must be >= 10")
+    if args.seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+    sample = _demo_pairs(args.pairs, args.rho, args.n, args.seed)
     gini = gini_empirical(sample)
     extra = f" rho={args.rho}" if args.pairs == "gaussian" else ""
     print(f"pairs={args.pairs}{extra} n={args.n} gini={gini:.6f}")
@@ -156,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="optional output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--replicates", type=int, default=None, help="replicate count override")
-        p.add_argument("--threads", type=int, default=1, help="evaluation worker threads")
         p.set_defaults(fn=fn)
         return p
 
     add_run("simulate", _cmd_simulate)
     add_run("fit", _cmd_fit)
-    add_run("evaluate", _cmd_evaluate)
+    add_run("evaluate", _cmd_evaluate).add_argument(
+        "--threads", type=int, default=1, help="evaluation worker threads")
     add_run("benchmark", _cmd_benchmark, needs_out=False)
 
     demo = sub.add_parser("demo-metrics")

@@ -82,21 +82,26 @@ def delta_curve(s: PairedSample, levels) -> np.ndarray:
 
 
 def _uniform_ranks(x):
-    # average ranks for ties, scaled into (0, 1]
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=float)
-    ranks[order] = np.arange(1, x.size + 1, dtype=float)
+    # average ranks for ties, scaled into (0, 1]. The sort need not be stable:
+    # an untied element's rank is its sorted position, and a tied block [i, j)
+    # gets 0.5 * (i + 1 + j) whatever its inner order. Untied input allocates
+    # only the n-byte `tied` mask beyond order and ranks.
+    n = x.size
+    order = np.argsort(x)
+    ranks = np.empty(n, dtype=float)
+    ranks[order] = np.arange(1, n + 1, dtype=float)
+    # tied[k]: sorted elements k - 1 and k are equal (False at both ends)
+    tied = np.zeros(n + 1, dtype=bool)
     xs = x[order]
-    # average rank over each tied block
-    i = 0
-    while i < xs.size:
-        j = i + 1
-        while j < xs.size and xs[j] == xs[i]:
-            j += 1
-        if j - i > 1:
-            ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
-    return ranks / x.size
+    np.equal(xs[1:], xs[:-1], out=tied[1:-1])
+    del xs
+    if tied.any():
+        starts = np.flatnonzero(tied[1:] & ~tied[:-1])
+        stops = np.flatnonzero(tied[:-1] & ~tied[1:]) + 1
+        in_block = tied[1:] | tied[:-1]
+        ranks[order[in_block]] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
+    ranks /= n
+    return ranks
 
 
 def _copula_diagonal(s: PairedSample, grid):

@@ -185,3 +185,30 @@ def test_demo_metrics_anchors(capsys):
 def test_demo_metrics_bad_rho(capsys):
     assert run(["demo-metrics", "--pairs", "gaussian", "--rho", "1.5"]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["--n", "5"], "'n'"),
+    (["--n", "0"], "'n'"),
+    (["--n", "-3"], "'n'"),
+    (["--seed", "-1"], "'seed'"),
+])
+def test_demo_metrics_bad_n_or_seed_exit_code_before_drawing(monkeypatch, capsys, argv, key):
+    import tailcast.cli as cli
+
+    drawn = []
+    monkeypatch.setattr(cli, "_demo_pairs", lambda *a: drawn.append(a))
+    assert run(["demo-metrics", "--pairs", "independent", *argv]) == 2
+    assert key in capsys.readouterr().err
+    assert drawn == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
+def test_threads_is_a_usage_error_where_it_does_nothing(tmp_path, capsys, command):
+    cfg = tiny_config(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", cfg, "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tailcast.distributions import Cauchy, Gaussian
 from tailcast.errors import DomainError, InsufficientData, LengthMismatch, NonFiniteInput
 from tailcast.metrics import (
     PairedSample,
+    _uniform_ranks,
     delta_curve,
     excursion_metric_empirical,
     gaussian_copula_diag,
@@ -137,6 +140,93 @@ def test_gini_invariant_under_monotone_transforms():
 def test_gini_needs_ten_pairs():
     with pytest.raises(InsufficientData):
         gini_empirical(PairedSample(np.arange(9.0), np.arange(9.0)))
+
+
+def uniform_ranks_oracle(x):
+    """The stable-sort, element-by-element tie loop that _uniform_ranks replaced."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.arange(1, x.size + 1, dtype=float)
+    xs = x[order]
+    i = 0
+    while i < xs.size:
+        j = i + 1
+        while j < xs.size and xs[j] == xs[i]:
+            j += 1
+        if j - i > 1:
+            ranks[order[i:j]] = 0.5 * (i + 1 + j)
+        i = j
+    return ranks / x.size
+
+
+def rank_inputs():
+    g = RngStream(31, 0).generator()
+    return {
+        "n1": np.array([0.7]),
+        "n2_tied": np.array([-1.5, -1.5]),
+        "all_equal": np.full(1000, 3.0),
+        "untied_normal": g.standard_normal(10_001),
+        "rounded_normal": np.round(g.standard_normal(10_001), 1),
+        "rounded_cauchy": np.round(g.standard_cauchy(10_001)),
+        "blocks": g.permutation(np.repeat(g.standard_normal(400), g.integers(1, 6, 400))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(rank_inputs()))
+def test_uniform_ranks_equal_tie_loop_oracle(name):
+    x = rank_inputs()[name]
+    got = _uniform_ranks(x)
+    want = uniform_ranks_oracle(x)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+# (gini, max excursion value, its level) as float.hex, recorded before the rank
+# kernel was vectorized: cli demo pairs, rho 0.9, n 200,000, seed 0
+PINNED_GINI = {
+    "independent": ("0x1.5513da202e51ap-2", "0x1.ff2ef25293b3cp-2", "0x1.4b14ecb2964e5p-6"),
+    "comonotone": ("0x1.4ee33ed500000p-18", "0x1.4ee33ed520000p-17", "0x1.57f8fe95c0993p-1"),
+    "countermonotone": ("0x1.0000000000000p-1", "0x1.ff0151f73768ep-1", "0x1.34232aecf803ep-9"),
+    "gaussian": ("0x1.9dd51f274ae60p-4", "0x1.25129ba772910p-3", "-0x1.612c98bdd5fa0p-5"),
+    # the gaussian pairs rounded to one decimal: ~60 tied blocks per coordinate
+    "gaussian_rounded": ("0x1.9d9ffec61ff80p-4", "0x1.6f6ade25eb644p-3", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_GINI))
+def test_gini_and_max_excursion_pinned_bits(kind):
+    from tailcast.cli import _demo_pairs
+
+    s = _demo_pairs(kind.removesuffix("_rounded"), 0.9, 200_000, 0)
+    if kind.endswith("_rounded"):
+        s = PairedSample(np.round(s.a, 1), np.round(s.b, 1))
+    value, level = max_excursion_distance_empirical(s)
+    got = (gini_empirical(s).hex(), value.hex(), level.hex())
+    assert got == PINNED_GINI[kind]
+
+
+def gini_peak_bytes(s):
+    gini_empirical(s)  # warm up lazy allocations before tracing
+    tracemalloc.start()
+    try:
+        gini_empirical(s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gini_memory_bounds():
+    """Peak traced bytes per pair at n = 200,000. The tie-loop kernel peaked at
+    40.0 B/pair on untied and rounded pairs alike (five float64 arrays); the
+    untied bound leaves less than one more float64 array of headroom, so a
+    kernel that keeps O(n) integer arrays on untied input fails it."""
+    n = 200_000
+    s = gauss_pairs(0.9, n)
+    assert gini_peak_bytes(s) < 45 * n
+    tied = [PairedSample(np.round(s.a, 2), np.round(s.b, 2)),
+            PairedSample(np.repeat(s.a[: n // 2], 2), np.repeat(s.b[: n // 2], 2))]
+    for t in tied:
+        assert gini_peak_bytes(t) < 64 * n
 
 
 def test_max_excursion_distance_dirac_form():
