@@ -57,8 +57,6 @@ from .objective import (
     extract_learning_samples,
     mean_subgradient,
     objective_value,
-    predict,
-    q_value,
     subgradient,
 )
 from .optimize import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .objective import (
     extract_learning_samples,
     objective_value,
 )
-from .optimize import COLD_STARTS, DescentConfig, init_candidates, solve
+from .optimize import COLD_STARTS, DescentConfig, init_candidates, solve, solve_lockstep
 from .processes import (
     ArStudentT,
     GaussExpCov,
@@ -162,8 +163,10 @@ class ExperimentSpec:
 
 # --- JSON config ----------------------------------------------------------
 
-_DESCENT_KEYS = ("mode", "a", "b", "beta", "max_iter", "tol", "burn_in",
-                 "selection", "constraint", "radius", "trace_stride")
+# descent key -> the type ``spec_from_dict`` requires of it
+_DESCENT_TYPES = {"mode": str, "a": float, "b": float, "beta": float, "max_iter": int,
+                  "tol": float, "burn_in": int, "selection": str, "constraint": str,
+                  "radius": float, "trace_stride": int}
 _SPEC_KEYS = ("name", "process", "h", "window", "forecast_offsets",
               "prediction_interval", "predictor_kind", "variant", "gamma",
               "marginal_mode", "marginal_family", "max_rows", "descent",
@@ -215,7 +218,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         "marginal_mode": spec.marginal_mode,
         "marginal_family": spec.marginal_family,
         "max_rows": spec.max_rows,
-        "descent": {k: getattr(d, k) for k in _DESCENT_KEYS},
+        "descent": {k: getattr(d, k) for k in _DESCENT_TYPES},
         "replicates": spec.replicates,
         "seed": spec.seed,
         "warm_start": spec.warm_start,
@@ -247,10 +250,13 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     if not isinstance(descent_dict, dict):
         raise ConfigError("descent", "must be an object")
     for key in descent_dict:
-        if key not in _DESCENT_KEYS:
+        if key not in _DESCENT_TYPES:
             raise ConfigError(f"descent.{key}", "unknown key")
     try:
-        descent = DescentConfig(**descent_dict)
+        descent = DescentConfig(**{key: _checked(f"descent.{key}", value, _DESCENT_TYPES[key])
+                                   for key, value in descent_dict.items()})
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("descent", str(exc)) from None
     kwargs = dict(
@@ -333,14 +339,34 @@ def _objective_specs(spec: ExperimentSpec, marginal: Marginal) -> dict:
     return out
 
 
+@contextmanager
+def _fit_errors(methods, t):
+    """Re-raise an error of the fit at point t naming its method: ``methods[0]``,
+    or the lockstep chain the error names."""
+    try:
+        yield
+    except (ValueError, RuntimeError, IndexError) as exc:
+        message = f"{methods[getattr(exc, 'chain', 0)]} fit at t={t:g}: {exc}"
+        if isinstance(exc, DivergedToNonFinite):
+            raise DivergedToNonFinite(message, last_iterate=exc.last_iterate) from exc
+        raise type(exc)(message) from exc
+
+
 def run_fit(spec: ExperimentSpec) -> FitResults:
-    """Fit every method at every prediction point of the experiment."""
+    """Fit every method at every prediction point of the experiment.
+
+    Online Q2/Q3 methods run together through ``solve_lockstep``; batch
+    descent and Q4 solve one method at a time. Either way each method owns
+    its generators, so the weights do not depend on that choice.
+    """
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
     fit_stream = RngStream(spec.seed, STREAM_FIT)
     sub_stream = RngStream(spec.seed, STREAM_SUBSAMPLE)
     obj_specs = _objective_specs(spec, marginal)
     solver_methods = list(obj_specs)
+    lockstep = spec.descent.mode == "online" and all(
+        s.variant in ("Q2", "Q3") for s in obj_specs.values())
     use_baselines = isinstance(spec.process, GaussExpCov)
     q2_spec = ObjectiveSpec("Q2", marginal)
     fits = {}
@@ -350,27 +376,34 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
         design = ForecastDesign(spec.forecast_offsets, t, spec.h, spec.window)
         samples = extract_learning_samples(
             traj, design, max_n=spec.max_rows, rng=sub_stream.generator(k))
-        point = {}
+        starts = []
         for mi, method in enumerate(solver_methods):
-            ospec = obj_specs[method]
             strategy = "warm" if (spec.warm_start and method in prev) else spec.init_strategy
-            cands = init_candidates(
-                samples, ospec, strategy, kind=spec.predictor_kind,
-                count=spec.init_count, warm=prev.get(method),
-                rng=fit_stream.generator(k, mi, 0))
-            p0 = Predictor(spec.predictor_kind, cands[0])
-            t_start = time.perf_counter()
-            try:
-                res = solve(ospec, samples, p0, spec.descent, fit_stream.generator(k, mi, 1))
-            except DivergedToNonFinite as exc:
-                raise DivergedToNonFinite(f"{method} fit at t={t:g}: {exc}",
-                                          last_iterate=exc.last_iterate) from exc
-            seconds = time.perf_counter() - t_start
-            val = objective_value(ospec, Predictor(spec.predictor_kind, res.weights),
-                                  samples, rng=fit_stream.generator(k, mi, 2))
+            with _fit_errors([method], t):
+                cands = init_candidates(
+                    samples, obj_specs[method], strategy, kind=spec.predictor_kind,
+                    count=spec.init_count, warm=prev.get(method),
+                    rng=fit_stream.generator(k, mi, 0))
+                starts.append(Predictor(spec.predictor_kind, cands[0]))
+        solve_rngs = [fit_stream.generator(k, mi, 1) for mi in range(len(solver_methods))]
+        if lockstep:
+            with _fit_errors(solver_methods, t):
+                results = solve_lockstep([obj_specs[m] for m in solver_methods], samples,
+                                         starts, spec.descent, solve_rngs)
+        else:
+            results = []
+            for method, p0, rng in zip(solver_methods, starts, solve_rngs):
+                with _fit_errors([method], t):
+                    results.append(solve(obj_specs[method], samples, p0, spec.descent, rng))
+        point = {}
+        for mi, (method, res) in enumerate(zip(solver_methods, results)):
+            ospec = obj_specs[method]
+            with _fit_errors([method], t):
+                val = objective_value(ospec, Predictor(spec.predictor_kind, res.weights),
+                                      samples, rng=fit_stream.generator(k, mi, 2))
             point[method] = PointFit(t, method, spec.predictor_kind, res.weights,
                                      val, centered_objective(ospec, val),
-                                     res.iterations, seconds)
+                                     res.iterations, res.seconds)
             prev[method] = res.weights
         if use_baselines:
             so = covariances_exp(design)
@@ -412,8 +445,10 @@ def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, r: int) -> np.nd
 def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalReport:
     """Monte Carlo evaluation of the fitted predictors on fresh replicates.
 
-    Replicates are simulated on up to ``min(threads, replicates)`` worker
-    threads; every output byte is the same for any thread count.
+    Replicates are simulated on ``min(threads, replicates)`` worker threads,
+    worker w taking replicates w, w + workers, w + 2 workers, ...; each
+    replicate owns its stream, so every output byte is the same for any
+    thread count.
     """
     if threads < 1:
         raise ConfigError("threads", "must be >= 1")
@@ -425,16 +460,17 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalRe
     R = spec.replicates
     V = np.empty((R, needed.size))
 
-    def fill(r):
-        V[r] = _replicate_values(spec, needed, r)
-
     workers = min(threads, R)
+
+    def fill(w):
+        for r in range(w, R, workers):
+            V[r] = _replicate_values(spec, needed, r)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(R)))
+            list(pool.map(fill, range(workers)))
     else:
-        for r in range(R):
-            fill(r)
+        fill(0)
 
     Xf = V[:, [col[int(k)] for k in offsets]]
     methods = tuple(spec.methods)

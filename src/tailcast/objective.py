@@ -16,15 +16,17 @@ yields N learning rows. Three per-row functionals are available:
 All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
 
-Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.row`` know
-the predictor form. The Q2/Q3 row subgradients, one per online descent step,
-work on the raw 1-D rows: ``Predictor.row`` gives each row's value and
-jacobian, and one unchecked pdf call covers the rows j and b. The Q4 row and
-every mean subgradient read their rows from one row block (``_row_block``:
-predictions, jacobian rows, pdf values, Q2 coefficient). The row and mean
-forms stay separate formulas even so: each keeps the order of floating-point
-operations that the pinned artifact digests were recorded with, and merging
-them would change those bytes.
+Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.rows``
+know the predictor form. The Q2/Q3 row subgradients, one per online descent
+step, live in ``RowSubgradients``: one ``Predictor.rows`` call gives the row
+values and jacobian rows of several chains at once (``np.vecdot``, one
+weight row per data row), one unchecked pdf call covers all of their values
+and one cdf call the Q3 chains' F(g_j). ``subgradient`` runs it on one chain.
+The Q4 row and every mean subgradient read their rows from one row block
+(``_row_block``: predictions, jacobian rows, pdf values, Q2 coefficient).
+The row and mean forms stay separate formulas even so: each keeps the order
+of floating-point operations that the pinned artifact digests were recorded
+with, and merging them would change those bytes.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ __all__ = [
     "Predictor",
     "ObjectiveSpec",
     "extract_learning_samples",
-    "predict",
-    "q_value",
     "objective_value",
+    "RowSubgradients",
     "subgradient",
     "mean_subgradient",
     "centered_objective",
@@ -163,9 +164,10 @@ class Predictor:
     def with_weights(self, w: np.ndarray) -> "Predictor":
         """The same form with weights ``w``, without re-validation.
 
-        ``w`` must be a finite 1-D float array of the current length; the
-        descent loop checks every new iterate for that before it gets here.
-        Build a ``Predictor`` directly to validate untrusted weights.
+        ``w`` must be a finite float array of the current length: 1-D, or
+        for ``rows`` one weight row per data row. The descent loops check
+        every new iterate for that before it gets here. Build a
+        ``Predictor`` directly to validate untrusted weights.
         """
         p = object.__new__(Predictor)
         object.__setattr__(p, "kind", self.kind)
@@ -193,25 +195,26 @@ class Predictor:
         G[rows, arg] = X[rows, arg]
         return G
 
-    def row(self, x):
-        """Value (a float) and jacobian on the 1-D row x.
+    def rows(self, X):
+        """Values and jacobian rows on the 2-D rows X.
 
-        Measured bit-equal to ``values`` and ``jacobian`` on that row as a
-        one-row 2-D array for n <= 12 with numpy 2.4.6's OpenBLAS on x86-64;
-        the linear and squared forms rely on the 1-D dot product rounding
-        like a one-row matrix product, which BLAS does not promise. The
-        golden digests guard it.
+        The weights are one vector, or one row per row of X. Each value
+        rounds like the one-row product ``X[i:i+1] @ w`` (measured for
+        ``np.vecdot`` at n <= 12 with numpy 2.4.6's OpenBLAS on x86-64; BLAS
+        does not promise it, and the golden digests guard it), which
+        ``values``, a matrix product over the whole block, does not.
         """
         w = self.weights
         if self.kind == "linear":
-            return float(x @ w), x
+            return np.vecdot(X, w), X
         if self.kind == "squared":
-            return float(x @ (w * w)), 2.0 * w * x
-        scaled = x * w
-        k = np.argmax(scaled)  # ties -> lowest index
-        grad = np.zeros_like(x)
-        grad[k] = x[k]
-        return float(scaled[k]), grad
+            return np.vecdot(X, w * w), 2.0 * w * X
+        scaled = X * w
+        k = np.argmax(scaled, axis=1)  # ties -> lowest index
+        r = np.arange(X.shape[0])
+        G = np.zeros_like(X)
+        G[r, k] = X[r, k]
+        return scaled[r, k], G
 
 
 @dataclass(frozen=True)
@@ -260,14 +263,6 @@ def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=Non
     return LearningSamples(y, X, ks * h)
 
 
-def predict(p: Predictor, x_row) -> float:
-    """Predictor value on one design row."""
-    x = np.asarray(x_row, dtype=float).ravel()
-    if x.size != p.weights.size:
-        raise LengthMismatch(f"row length {x.size} != weight length {p.weights.size}")
-    return float(p.values(x[None, :])[0])
-
-
 def _row_indices(spec, samples, j, bootstrap_index):
     """Checked row index j and, for Q3 only, the checked bootstrap row index."""
     b = None
@@ -308,39 +303,96 @@ def _row_block(spec, p, samples, *parts):
     return g, p.jacobian(X), pg, (2.0 * (y < g) - 1.0) * pg
 
 
-def q_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> float:
-    """Per-row functional value; see the module docstring for the three forms."""
-    j, b = _row_indices(spec, samples, j, bootstrap_index)
-    F = spec.marginal.cdf
-    ghat = predict(p, samples.X[j])
-    fg = F(ghat)
-    q2 = 2.0 * F(max(samples.y[j], ghat)) - fg
-    if spec.variant == "Q2":
-        return float(q2)
-    if spec.variant == "Q3":
-        yb = F(predict(p, samples.X[b]))
-        return float(q2 + spec.gamma * (fg * fg - max(fg, yb)))
-    # Q4: running-rank penalty over rows i < j, empty sum for j = 0
-    fprev = F(p.values(samples.X[:j])) if j > 0 else np.empty(0)
-    run = fg + 2.0 * float(np.sum(np.maximum(fprev, fg)))
-    return float(q2 + spec.gamma * fg * fg - spec.gamma / samples.count * run)
+class RowSubgradients:
+    """Q2/Q3 row subgradients of several chains on one sample set, packed.
+
+    Chain c minimizes ``specs[c]`` (Q2 or Q3; one marginal for all) with
+    weight row ``W[c]`` of the form of ``form``. A call ``(W, js, bs)``
+    takes one row index per chain and one bootstrap row index per Q3 chain,
+    in chain order, and returns the (K, n) subgradients from one pass: one
+    ``Predictor.rows`` over the rows [j of every chain, b of every Q3
+    chain], one unchecked pdf call on all of their values, one cdf call on
+    the Q3 chains' g_j. Every chain keeps the float operations of the
+    one-chain formulas
+
+        Q2: (2 [y_j < g_j] - 1) p(g_j) G_j
+        Q3: Q2 + gamma (2 F(g_j) - [g_b < g_j]) p(g_j) G_j
+               - gamma [g_b >= g_j] p(g_b) G_b
+
+    so it is bit-equal to stepping the chains one by one. Indices are not
+    checked: ``subgradient`` checks its own, and the lockstep engine draws
+    them in range. A non-finite row value raises ``NonFiniteInput`` whose
+    ``chain`` attribute is the chain's index.
+    """
+
+    def __init__(self, specs, samples: LearningSamples, form: Predictor):
+        marginal = specs[0].marginal
+        if any(s.variant not in ("Q2", "Q3") or s.marginal != marginal for s in specs):
+            raise DomainError("packed row subgradients need Q2/Q3 functionals on one marginal")
+        K = len(specs)
+        pen = [c for c, s in enumerate(specs) if s.variant == "Q3"]
+        self.X, self.y, self.form, self.chains = samples.X, samples.y, form, K
+        self.pdf, self.cdf = marginal._pdf, marginal._cdf
+        # Q3 chain c: its j row slot c, its b row slot K + k, its gamma
+        self.pen = [(c, K + k, specs[c].gamma) for k, c in enumerate(pen)]
+        self.slot_chain = list(range(K)) + pen
+        if pen:
+            self.wsel = np.array(self.slot_chain)  # weight row of every slot
+            self.fsel = np.array(pen)  # slots whose F(g) the Q3 terms need
+            # jacobian row of every term: K Q2 terms, then two per Q3 chain
+            self.tsel = np.array(list(range(K)) + [i for c, s, _ in self.pen for i in (c, s)])
+
+    def __call__(self, W, js, bs) -> np.ndarray:
+        K = self.chains
+        R = self.X.take(js + bs, axis=0)
+        Wr = W.take(self.wsel, axis=0) if self.pen else W
+        g, J = self.form.with_weights(Wr).rows(R)
+        gl = g.tolist()
+        for slot, v in enumerate(gl):
+            if not math.isfinite(v):
+                exc = NonFiniteInput("row prediction is not finite")
+                exc.chain = self.slot_chain[slot]
+                raise exc
+        pl = self.pdf(g).tolist()
+        y = self.y
+        coef = [(2.0 * (y.item(j) < gj) - 1.0) * pj for j, gj, pj in zip(js, gl, pl)]
+        if self.pen:
+            for (c, s, gamma), fj in zip(self.pen, self.cdf(g.take(self.fsel)).tolist()):
+                gj, gb, pj = gl[c], gl[s], pl[c]
+                coef.append(gamma * (2.0 * fj - (gb < gj)) * pj)
+                coef.append(gamma * (gb >= gj) * pl[s])
+            J = J.take(self.tsel, axis=0)
+        M = J * np.array(coef)[:, None]
+        for k, (c, _, _) in enumerate(self.pen):
+            M[c] += M[K + 2 * k]
+            M[c] -= M[K + 2 * k + 1]
+        return M[:K]
+
+
+def _mean(a) -> float:
+    """``np.mean`` of a 1-D array without its Python-level wrapper: the same
+    pairwise sum (``np.add.reduce``) divided by the count."""
+    return float(np.add.reduce(a)) / a.size
 
 
 def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> float:
     """Mean of the per-row functional over all N rows.
 
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
-    from ``rng`` if given, else from ``spec.bootstrap``.
+    from ``rng`` if given, else from ``spec.bootstrap``. The predictions are
+    checked finite once; the cdf runs unchecked on them and on max(y, g).
     """
-    F = spec.marginal.cdf
+    F = spec.marginal._cdf
     ghat = p.values(samples.X)
+    if not np.isfinite(ghat).all():
+        raise NonFiniteInput("predictions contain non-finite values")
     fg = F(ghat)
     q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
     if spec.variant == "Q2":
-        return float(np.mean(q2))
+        return _mean(q2)
     if spec.variant == "Q3":
         yb = fg[_bootstrap_rows(spec, rng, samples.count)]
-        return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
+        return _mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb)))
     # Q4 mean via the sorted identity:
     # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
     n = samples.count
@@ -352,27 +404,13 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
 def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> np.ndarray:
     """Exact subgradient of the per-row functional in the weights."""
     j, b = _row_indices(spec, samples, j, bootstrap_index)
-    m = spec.marginal
-    if spec.variant == "Q2":
-        gj, Gj = p.row(samples.X[j])
-        if not math.isfinite(gj):
-            raise NonFiniteInput("row prediction is not finite")
-        pj = m._pdf(np.array([gj])).item()
-        return (2.0 * (samples.y.item(j) < gj) - 1.0) * pj * Gj
-    if spec.variant == "Q3":
-        gj, Gj = p.row(samples.X[j])
-        gb, Gb = p.row(samples.X[b])
-        if not (math.isfinite(gj) and math.isfinite(gb)):
-            raise NonFiniteInput("row prediction is not finite")
-        pj, pb = m._pdf(np.array([gj, gb])).tolist()
-        fj = m._cdf(np.array([gj])).item()
-        coeff = (2.0 * (samples.y.item(j) < gj) - 1.0) * pj
-        out = coeff * Gj + spec.gamma * (2.0 * fj - (gb < gj)) * pj * Gj
-        return out - spec.gamma * (gb >= gj) * pb * Gb
+    if spec.variant != "Q4":
+        kernel = RowSubgradients((spec,), samples, p)
+        return kernel(p.weights[None, :], [j], [] if b is None else [b])[0]
     # Q4: rows 0..j, with row j last
     N = samples.count
     g, G, pg, coeff = _row_block(spec, p, samples, slice(0, j), slice(j, j + 1))
-    fall = m.cdf(g)
+    fall = spec.marginal.cdf(g)
     fg, fprev = fall[j], fall[:j]
     smaller = float(np.sum(fprev < fg))
     larger = fprev > fg

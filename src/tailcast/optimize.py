@@ -10,22 +10,27 @@ traced iterate with the smallest full objective.
 The loop itself is exposed through ``descend`` acting on a ``DescentProblem``
 (value / row_grad / mean_grad callables), so it can be exercised on analytic
 objectives; ``solve`` wires in the statistical functionals from
-:mod:`tailcast.objective`.
+:mod:`tailcast.objective`. ``solve_lockstep`` runs several online Q2/Q3
+solves on the same rows together, one packed row step for all of them per
+iteration, with the results ``descend`` gives each alone; ``solve`` sends
+online Q2/Q3 there.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergedToNonFinite, DomainError
+from .errors import DivergedToNonFinite, DomainError, NonFiniteInput
 from .objective import (
     LearningSamples,
     ObjectiveSpec,
     Predictor,
+    RowSubgradients,
     mean_subgradient,
     objective_value,
     subgradient,
@@ -40,6 +45,7 @@ __all__ = [
     "init_candidates",
     "descend",
     "solve",
+    "solve_lockstep",
     "write_trace_csv",
 ]
 
@@ -180,25 +186,49 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
     return [w for _, w in scored]
 
 
+class _Trace:
+    """The traced objective values and best traced iterate of one descent,
+    and the iterate its selection rule returns."""
+
+    def __init__(self, value, p0, rng, lam):
+        self.value, self.p0, self.rng = value, p0, rng
+        self.iters, self.vals, self.lams = [], [], []
+        self.best_val, self.best_lam = np.inf, lam.copy()
+        self.record(0, lam)
+
+    def record(self, l, current):
+        val = float(self.value(self.p0.with_weights(current), self.rng))
+        self.iters.append(l)
+        self.vals.append(val)
+        self.lams.append(current.copy())
+        if val < self.best_val:
+            self.best_val, self.best_lam = val, current.copy()
+
+    def result(self, cfg, lam, avg_sum, avg_count, steps, seconds) -> SolveResult:
+        if cfg.selection == "last":
+            chosen = lam
+        elif cfg.selection == "polyak":
+            chosen = avg_sum / avg_count if avg_count > 0 else lam
+        else:
+            chosen = self.best_lam
+        return SolveResult(
+            weights=np.array(chosen, dtype=float),
+            objective_trace=np.array(self.vals),
+            trace_iterations=np.array(self.iters, dtype=int),
+            trace_weights=np.array(self.lams),
+            iterations=steps,
+            selection=cfg.selection,
+            seconds=seconds,
+        )
+
+
 def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> SolveResult:
     """Run the projected subgradient loop on an arbitrary problem."""
     g = as_generator(rng)
     t_start = time.perf_counter()
     lam = project(cfg.constraint, np.array(p0.weights, dtype=float), cfg.radius)
-    trace_iters, trace_vals, trace_lams = [], [], []
-    best_val, best_lam = np.inf, lam.copy()
+    trace = _Trace(problem.value, p0, g, lam)
     avg_sum, avg_count = np.zeros_like(lam), 0
-
-    def record(l, current):
-        nonlocal best_val, best_lam
-        val = float(problem.value(p0.with_weights(current), g))
-        trace_iters.append(l)
-        trace_vals.append(val)
-        trace_lams.append(current.copy())
-        if val < best_val:
-            best_val, best_lam = val, current.copy()
-
-    record(0, lam)
     steps = 0
     for l in range(cfg.max_iter):
         if l >= cfg.burn_in:
@@ -217,34 +247,120 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
         lam = new
         steps = l + 1
         if steps % cfg.trace_stride == 0 or steps == cfg.max_iter:
-            record(steps, lam)
+            trace.record(steps, lam)
         if stop:
-            if trace_iters[-1] != steps:
-                record(steps, lam)
+            if trace.iters[-1] != steps:
+                trace.record(steps, lam)
             break
-
-    if cfg.selection == "last":
-        chosen = lam
-    elif cfg.selection == "polyak":
-        chosen = avg_sum / avg_count if avg_count > 0 else lam
-    else:
-        chosen = best_lam
-    seconds = time.perf_counter() - t_start
-    return SolveResult(
-        weights=np.asarray(chosen, dtype=float),
-        objective_trace=np.array(trace_vals),
-        trace_iterations=np.array(trace_iters, dtype=int),
-        trace_weights=np.array(trace_lams),
-        iterations=steps,
-        selection=cfg.selection,
-        seconds=seconds,
-    )
+    return trace.result(cfg, lam, avg_sum, avg_count, steps, time.perf_counter() - t_start)
 
 
 def solve(spec: ObjectiveSpec, samples: LearningSamples, p0: Predictor,
           cfg: DescentConfig, rng) -> SolveResult:
-    """Minimize the chosen empirical functional starting from p0."""
+    """Minimize the chosen empirical functional starting from p0.
+
+    Online Q2/Q3 runs as a one-chain ``solve_lockstep``, everything else
+    through ``descend``; both step the same way.
+    """
+    if cfg.mode == "online" and spec.variant != "Q4":
+        return solve_lockstep([spec], samples, [p0], cfg, [rng])[0]
     return descend(_spec_problem(spec, samples), p0, cfg, rng)
+
+
+@contextmanager
+def _chain_errors(chain):
+    """Mark an error raised inside as raised for lockstep chain ``chain``."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        exc.chain = chain
+        raise
+
+
+def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, rngs) -> list:
+    """Online solves of Q2/Q3 functionals on the same rows, stepped together.
+
+    Result c equals ``descend`` stepping chain c alone along
+    ``subgradient`` bit for bit, ``seconds`` aside (the wall time until
+    chain c stopped).
+    Every chain draws its row j, and a Q3 chain then its bootstrap row b,
+    from its own generator in ``descend``'s order, and so do its trace
+    evaluations; a chain that stops on ``tol`` draws nothing more. One step
+    of all running chains is one ``RowSubgradients`` call, one update of
+    the (K, n) iterate array with the cached step size and one finiteness
+    check; the projection, the ``tol`` test, the traces and the selection
+    stay per chain. The specs share one marginal and the starts one form.
+    An error raised for one chain carries its index in ``chain``.
+    """
+    if cfg.mode != "online":
+        raise DomainError("the lockstep engine runs online descent only")
+    if not (len(specs) == len(starts) == len(rngs) >= 1):
+        raise DomainError("need one spec, start and rng per chain")
+    if any(p.kind != starts[0].kind for p in starts):
+        raise DomainError("lockstep chains must share the predictor form")
+    kernel = RowSubgradients(specs, samples, starts[0])
+    t_start = time.perf_counter()
+    gens = [as_generator(r) for r in rngs]
+    W = np.array([project(cfg.constraint, np.array(p.weights, dtype=float), cfg.radius)
+                  for p in starts])
+    traces = []
+    for c, (spec, p0, g) in enumerate(zip(specs, starts, gens)):
+        with _chain_errors(c):
+            traces.append(_Trace(_spec_problem(spec, samples).value, p0, g, W[c]))
+    steps = [cfg.step(l) for l in range(cfg.max_iter)]
+    count, stride, tol = samples.count, cfg.trace_stride, cfg.tol
+    polyak, constrained = cfg.selection == "polyak", cfg.constraint != "unconstrained"
+    results = [None] * len(specs)
+    active = list(range(len(specs)))  # running chains; row i of W is chain active[i]
+    avg_sum, avg_count = np.zeros_like(W), 0
+    l = 0
+    while active:
+        j_gens = [gens[c] for c in active]
+        b_gens = [gens[c] for c in active if specs[c].variant == "Q3"]
+        stopped = []
+        while l < cfg.max_iter and not stopped:
+            if polyak and l >= cfg.burn_in:
+                avg_sum += W
+                avg_count += 1
+            js = [int(g.integers(0, count)) for g in j_gens]
+            bs = [int(g.integers(0, count)) for g in b_gens]
+            try:
+                grads = kernel(W, js, bs)
+            except NonFiniteInput as exc:
+                exc.chain = active[exc.chain]
+                raise
+            new = W - steps[l] * grads
+            if constrained:
+                for i in range(len(active)):
+                    new[i] = project(cfg.constraint, new[i], cfg.radius)
+            if not np.isfinite(new).all():
+                i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+                exc = DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=W[i].copy())
+                exc.chain = active[i]
+                raise exc
+            if tol > 0:
+                stopped = [i for i in range(len(active))
+                           if float(np.linalg.norm(new[i] - W[i])) < tol]
+            W = new
+            l += 1
+            if l % stride == 0 or l == cfg.max_iter:
+                for i, c in enumerate(active):
+                    with _chain_errors(c):
+                        traces[c].record(l, W[i])
+        # the chains that stopped, or all of them at the end of the budget
+        for i in stopped if l < cfg.max_iter else range(len(active)):
+            c = active[i]
+            if traces[c].iters[-1] != l:
+                with _chain_errors(c):
+                    traces[c].record(l, W[i])
+            results[c] = traces[c].result(cfg, W[i], avg_sum[i], avg_count, l,
+                                          time.perf_counter() - t_start)
+        keep = [i for i, c in enumerate(active) if results[c] is None]
+        active = [active[i] for i in keep]
+        if active:
+            W, avg_sum = W[keep], avg_sum[keep]
+            kernel = RowSubgradients([specs[c] for c in active], samples, starts[0])
+    return results
 
 
 def write_trace_csv(path, result: SolveResult) -> None:

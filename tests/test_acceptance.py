@@ -32,13 +32,12 @@ from tailcast.objective import (
     ObjectiveSpec,
     Predictor,
     extract_learning_samples,
-    predict,
-    q_value,
     subgradient,
 )
 from tailcast.optimize import DescentConfig, init_candidates, project, solve
 from tailcast.processes import default_kernel, simulate_gauss_exp_cov
 from tailcast.rng import RngStream
+from test_objective import predict, q_value
 
 GAUSS = Gaussian(0.0, 1.0)
 

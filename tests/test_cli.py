@@ -140,6 +140,23 @@ def test_bad_config_value_exit_code_before_simulating(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("key, value", [("a", "big"), ("max_iter", 2.5), ("burn_in", True)])
+def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypatch,
+                                                      command, key, value):
+    import tailcast.harness
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "_simulate_training", no_simulation)
+    cfg = tiny_config(tmp_path, descent={"mode": "online", "max_iter": 30, key: value})
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'descent.{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code_before_simulating(tmp_path, capsys, threads):
     cfg = tiny_config(tmp_path)

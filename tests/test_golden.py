@@ -6,8 +6,9 @@ numpy/scipy pair; floating-point results may differ under other versions,
 so the test skips there. Together the cases reach all three predictor forms
 (``squared`` through the levy presets, ``max`` through the extra case), both
 interpolation and extrapolation designs, batch and online descent, all
-three functionals (Q4 both online and in batch), and the estimated-marginal
-path of ``ar3``.
+three functionals (Q4 both online and in batch), the estimated-marginal
+path of ``ar3``, and online Q2/Q3 chains that stop on ``tol`` at different
+steps under Polyak selection in a ball.
 
 After a numpy or scipy upgrade, re-pin by running
 
@@ -51,6 +52,13 @@ CASES["cauchy_extrap_q4_simplex"] = ("cauchy_extrap", {"variant": "Q4", "init_st
 CASES["cauchy_extrap_q4_batch"] = ("cauchy_extrap", {
     "variant": "Q4", "init_strategy": "simplex",
     "descent": {**preset_config("cauchy_extrap")["descent"], "mode": "batch", "max_iter": 30}})
+# Online Q2 and Q3 chains that stop on ``tol`` at different steps (Q2 first at
+# one point, Q3 first at another, one full budget), with Polyak averaging past
+# a burn-in that the early-stopping chains never reach, inside the unit ball.
+CASES["gauss_extrap_polyak_ball_tol"] = ("gauss_extrap", {
+    "init_strategy": "simplex",
+    "descent": {**preset_config("gauss_extrap")["descent"], "selection": "polyak",
+                "burn_in": 50, "constraint": "ball", "radius": 1.0, "tol": 1e-3}})
 
 PINS = {
     "numpy 2.4.6 / scipy 1.17.1": {
@@ -85,6 +93,10 @@ PINS = {
         "gauss_extrap_max": {
             "weights.csv": "6e852006667bebe011472b6c393e2935cbecd704384cb0187847afa898c659ac",
             "eval.csv": "936a3869d94853c45a73809e6b4d51e6695f8b8cb558525671f8dfdcb7a3ceac",
+        },
+        "gauss_extrap_polyak_ball_tol": {
+            "weights.csv": "d20db475dc043700ba9750ed236a6f5756b239486ae941bbe5598f55d44e7d22",
+            "eval.csv": "a27b3081f330fa58d66ba468436c589d944db7033d1520acafd25edffdd18d1e",
         },
         "gauss_interp": {
             "weights.csv": "752937efa72707e6b1c94064c7fc69f3cbd897d4fa0f2ae169e3f87efeeedea4",

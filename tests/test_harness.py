@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.errors import ConfigError, DivergedToNonFinite
+from tailcast.errors import ConfigError, DivergedToNonFinite, DomainError, NonFiniteInput
 import tailcast.harness
 from tailcast.harness import (
     METHOD_ORDER,
@@ -119,6 +119,32 @@ def test_spec_from_dict_unknown_descent_key_named():
     with pytest.raises(ConfigError) as err:
         spec_from_dict(d)
     assert "descent.momentum" in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("a", "big"), ("a", None), ("a", True), ("b", [1.0]), ("beta", "0.7"), ("tol", False),
+    ("radius", "1"), ("max_iter", 2.5), ("max_iter", 300.0), ("max_iter", True),
+    ("burn_in", True), ("burn_in", 1.5), ("trace_stride", "10"),
+    ("mode", 1), ("selection", None), ("constraint", ["ball"]),
+])
+def test_spec_from_dict_rejects_bad_descent_type_by_key(key, value):
+    d = spec_to_dict(tiny_gauss_spec())
+    d["descent"] = {**d["descent"], key: value}
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict(d)
+    assert err.value.key == f"descent.{key}"
+
+
+def test_spec_from_dict_descent_domain_error_is_a_config_error():
+    d = spec_to_dict(tiny_gauss_spec())
+    for key, value in (("max_iter", 0), ("beta", 0.4), ("mode", "momentum"), ("burn_in", 40)):
+        d2 = {**d, "descent": {**d["descent"], key: value}}
+        with pytest.raises(ConfigError, match=key) as err:
+            spec_from_dict(d2)
+        assert err.value.key == "descent"
+    # JSON integers are accepted as floats
+    d["descent"] = {**d["descent"], "a": 10, "radius": 2}
+    assert spec_from_dict(d).descent.a == 10.0
 
 
 def test_spec_from_dict_missing_required_key():
@@ -269,6 +295,40 @@ def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
         assert np.array_equal(capped.excursion[m], report.excursion[m])
 
 
+def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
+    spec, fits, report = tiny_run
+    tasks, order = [], []
+    real = tailcast.harness._replicate_values
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            tasks.append(items)
+            return map(fn, items)
+
+    def replicate_values(spec, needed, r):
+        order.append(r)
+        return real(spec, needed, r)
+
+    monkeypatch.setattr(tailcast.harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(tailcast.harness, "_replicate_values", replicate_values)
+    strided = run_eval(spec, fits, threads=3)
+    assert tasks == [[0, 1, 2]]
+    R = spec.replicates
+    assert order == list(range(0, R, 3)) + list(range(1, R, 3)) + list(range(2, R, 3))
+    for m in report.methods:
+        assert np.array_equal(strided.wasserstein[m], report.wasserstein[m])
+
+
 def test_fit_deterministic(tiny_run):
     spec, fits, _ = tiny_run
     fits2 = run_fit(spec)
@@ -277,20 +337,37 @@ def test_fit_deterministic(tiny_run):
             assert np.array_equal(fits.fits[k][m].weights, fits2.fits[k][m].weights)
 
 
-def test_fit_divergence_names_point_and_method(monkeypatch):
-    real_solve = tailcast.harness.solve
-    last = np.array([0.5, -0.5])
-
-    def solve(ospec, samples, p0, cfg, rng):
-        if ospec.variant != "Q2":
-            raise DivergedToNonFinite("non-finite iterate at step 3", last_iterate=last)
-        return real_solve(ospec, samples, p0, cfg, rng)
-
-    monkeypatch.setattr(tailcast.harness, "solve", solve)
-    with pytest.raises(DivergedToNonFinite, match=r"penalized fit at t=10\.3: non-finite iterate at step 3") as err:
-        run_fit(tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5))
-    assert err.value.last_iterate is last
+def test_fit_divergence_names_point_and_method():
+    # a huge penalty makes only the penalized chain diverge
+    spec = tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5, gamma=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedToNonFinite, match=r"penalized fit at t=10\.3: non-finite iterate at step 5") as err:
+            run_fit(spec)
     assert isinstance(err.value.__cause__, DivergedToNonFinite)
+    assert err.value.last_iterate is err.value.__cause__.last_iterate
+    assert np.all(np.isfinite(err.value.last_iterate))
+
+
+def test_fit_overflowing_row_names_point_and_method():
+    spec = tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5, gamma=1e300,
+                           process=StableMovingAverage(0.5), predictor_kind="squared")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteInput, match=r"penalized fit at t=10\.3: row prediction is not finite") as err:
+            run_fit(spec)
+    assert isinstance(err.value.__cause__, NonFiniteInput)
+
+
+def test_fit_error_outside_the_solve_names_point_and_method(monkeypatch):
+    real = tailcast.harness.init_candidates
+
+    def init_candidates(samples, ospec, *args, **kwargs):
+        if ospec.variant == "Q3":
+            raise DomainError("no start")
+        return real(samples, ospec, *args, **kwargs)
+
+    monkeypatch.setattr(tailcast.harness, "init_candidates", init_candidates)
+    with pytest.raises(DomainError, match=r"penalized fit at t=10\.3: no start"):
+        run_fit(tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5))
 
 
 def test_estimated_marginal_mode():

@@ -22,11 +22,9 @@ from tailcast.objective import (
     extract_learning_samples,
     mean_subgradient,
     objective_value,
-    predict,
-    q_value,
     subgradient,
 )
-from tailcast.objective import _rank_counts, _row_block
+from tailcast.objective import RowSubgradients, _rank_counts, _row_block
 from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
@@ -37,6 +35,30 @@ EXTRAP_OFFSETS = tuple(np.round(30.0 + 0.1 * np.arange(10), 9))
 
 def gauss_design(target=31.0):
     return ForecastDesign(offsets=EXTRAP_OFFSETS, target=target, h=0.02, window=(0.0, 29.98))
+
+
+def predict(p, x_row):
+    """Oracle: the predictor value on one design row, as a one-row ``values`` call."""
+    x = np.asarray(x_row, dtype=float).ravel()
+    return float(p.values(x[None, :])[0])
+
+
+def q_value(spec, p, samples, j, bootstrap_index=None):
+    """Oracle: the per-row functional value, straight from the formulas of
+    the ``tailcast.objective`` docstring (indices unchecked)."""
+    F = spec.marginal.cdf
+    ghat = predict(p, samples.X[j])
+    fg = F(ghat)
+    q2 = 2.0 * F(max(samples.y[j], ghat)) - fg
+    if spec.variant == "Q2":
+        return float(q2)
+    if spec.variant == "Q3":
+        yb = F(predict(p, samples.X[bootstrap_index]))
+        return float(q2 + spec.gamma * (fg * fg - max(fg, yb)))
+    # Q4: running-rank penalty over rows i < j, empty sum for j = 0
+    fprev = F(p.values(samples.X[:j])) if j > 0 else np.empty(0)
+    run = fg + 2.0 * float(np.sum(np.maximum(fprev, fg)))
+    return float(q2 + spec.gamma * fg * fg - spec.gamma / samples.count * run)
 
 
 def make_samples(n_rows=40, n_pred=3, seed=0):
@@ -149,8 +171,6 @@ def test_predictor_validation():
         Predictor("cubic", np.ones(3))
     with pytest.raises(NonFiniteInput):
         Predictor("linear", np.array([1.0, np.nan]))
-    with pytest.raises(LengthMismatch):
-        predict(Predictor("linear", np.ones(3)), np.ones(4))
     p = Predictor("linear", np.ones(2))
     q = p.with_weights(np.array([2.0, 3.0]))
     assert q.kind == "linear" and np.allclose(q.weights, [2.0, 3.0])
@@ -241,11 +261,11 @@ def test_q3_requires_bootstrap():
     spec = ObjectiveSpec("Q3", GAUSS, gamma=5.0)
     p = Predictor("linear", np.ones(3))
     with pytest.raises(MissingBootstrap):
-        q_value(spec, p, samples, 0)
+        subgradient(spec, p, samples, 0)
     with pytest.raises(MissingBootstrap):
         objective_value(spec, p, samples)
     with pytest.raises(IndexOutOfRange):
-        q_value(spec, p, samples, 0, bootstrap_index=samples.count)
+        subgradient(spec, p, samples, 0, bootstrap_index=samples.count)
 
 
 def test_row_index_range():
@@ -253,9 +273,9 @@ def test_row_index_range():
     spec = ObjectiveSpec("Q2", GAUSS)
     p = Predictor("linear", np.ones(3))
     with pytest.raises(IndexOutOfRange):
-        q_value(spec, p, samples, samples.count)
+        subgradient(spec, p, samples, samples.count)
     with pytest.raises(IndexOutOfRange):
-        q_value(spec, p, samples, -1)
+        subgradient(spec, p, samples, -1)
 
 
 def test_q4_mean_matches_row_average():
@@ -430,6 +450,22 @@ def test_row_subgradient_raises_on_overflowing_prediction():
         for j, b in ((0, 1), (1, 0)):
             with pytest.raises(NonFiniteInput):
                 subgradient(q3, p, samples, j, bootstrap_index=b)
+
+
+def test_packed_row_subgradients_name_the_overflowing_chain():
+    """A non-finite row value names its chain, also through a bootstrap row."""
+    X = np.array([[1e308, 1e308], [0.5, -0.25]])
+    samples = LearningSamples(np.zeros(2), X, np.arange(2.0))
+    specs = [ObjectiveSpec("Q2", GAUSS), ObjectiveSpec("Q3", GAUSS, gamma=5.0),
+             ObjectiveSpec("Q3", GAUSS, gamma=5.0)]
+    kernel = RowSubgradients(specs, samples, Predictor("linear", np.ones(2)))
+    W = np.array([[0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
+    with np.errstate(over="ignore"):
+        for js, bs, chain in (([1, 0, 1], [1, 1], 1), ([0, 1, 1], [1, 0], 2)):
+            with pytest.raises(NonFiniteInput) as err:
+                kernel(W, js, bs)
+            assert err.value.chain == chain
+    assert np.all(np.isfinite(kernel(W, [1, 1, 1], [1, 1])))
 
 
 def rank_counts_oracle(f):

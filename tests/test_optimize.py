@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tailcast.distributions import Gaussian
-from tailcast.errors import DivergedToNonFinite, DomainError
-from tailcast.objective import LearningSamples, ObjectiveSpec, Predictor, objective_value
+from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
+from tailcast.errors import DivergedToNonFinite, DomainError, NonFiniteInput
+from tailcast.objective import LearningSamples, ObjectiveSpec, Predictor, objective_value, subgradient
 from tailcast.optimize import (
     DescentConfig,
     DescentProblem,
@@ -11,6 +11,7 @@ from tailcast.optimize import (
     init_candidates,
     project,
     solve,
+    solve_lockstep,
     write_trace_csv,
 )
 from tailcast.rng import RngStream
@@ -270,3 +271,128 @@ def test_trace_csv_format(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == pytest.approx(res.objective_trace[0])
+
+
+# --- lockstep engine ---------------------------------------------------------------
+
+
+def lockstep_rows(seed, N=50, n=3):
+    """Gaussian rows and positive heavy-tailed rows (so Levy and squared
+    predictions see both signs, zero pdf and far tails)."""
+    g = RngStream(seed, 31).generator()
+    X = np.vstack([g.standard_normal((N // 2, n)), np.abs(g.standard_cauchy((N - N // 2, n)))])
+    return LearningSamples(np.abs(g.standard_cauchy(N)), X, np.arange(N, dtype=float))
+
+
+def lockstep_chains(marginal, kind):
+    """Three chains: Q3 chains around a Q2 one, so the Q3 j rows are not contiguous."""
+    specs = [ObjectiveSpec("Q3", marginal, gamma=5.0), ObjectiveSpec("Q2", marginal),
+             ObjectiveSpec("Q3", marginal, gamma=0.5)]
+    starts = [Predictor(kind, w) for w in ([0.5, 0.2, 0.1], [0.2, 0.3, 0.4], [1.0, 0.0, 0.0])]
+    return specs, starts
+
+
+def descend_oracle(spec, samples, p0, cfg, rng):
+    """One chain stepped alone by ``descend`` along ``subgradient``, a Q3
+    chain drawing its bootstrap row right after its row j."""
+    def value(p, g):
+        return objective_value(spec, p, samples, rng=g)
+
+    def row_grad(p, j, g):
+        b = int(g.integers(0, samples.count)) if spec.variant == "Q3" else None
+        return subgradient(spec, p, samples, j, bootstrap_index=b)
+
+    return descend(DescentProblem(samples.count, value, row_grad, None), p0, cfg, rng)
+
+
+def assert_same_results(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.objective_trace, b.objective_trace)
+        assert np.array_equal(a.trace_iterations, b.trace_iterations)
+        assert np.array_equal(a.trace_weights, b.trace_weights)
+        assert a.iterations == b.iterations and a.selection == b.selection
+
+
+MARGINALS = {"gauss": Gaussian(0.0, 1.0), "cauchy": Cauchy(0.0, 1.0), "levy": Levy(0.8),
+             "student": StudentT(0.0, 1.0, 0.8)}
+
+
+@pytest.mark.parametrize("marginal", sorted(MARGINALS))
+@pytest.mark.parametrize("kind", ["linear", "squared", "max"])
+def test_lockstep_bit_equal_to_descend_per_chain(kind, marginal):
+    """Oracle: each chain stepped alone by ``descend`` along ``subgradient``."""
+    samples = lockstep_rows(seed=len(marginal) + len(kind))
+    specs, starts = lockstep_chains(MARGINALS[marginal], kind)
+    for selection in ("last", "polyak", "best"):
+        for constraint in ("unconstrained", "nonneg", "ball"):
+            for tol in (0.0, 3e-3):
+                cfg = DescentConfig(mode="online", max_iter=60, tol=tol, selection=selection,
+                                    burn_in=20 if selection == "polyak" else 0,
+                                    constraint=constraint, radius=0.8, trace_stride=7)
+                want = [descend_oracle(spec, samples, p0, cfg, RngStream(3, c).generator())
+                        for c, (spec, p0) in enumerate(zip(specs, starts))]
+                got = solve_lockstep(specs, samples, starts, cfg,
+                                     [RngStream(3, c).generator() for c in range(3)])
+                assert_same_results(got, want)
+
+
+def test_lockstep_chains_stop_at_different_steps():
+    samples = lockstep_rows(seed=1)
+    specs, starts = lockstep_chains(Cauchy(0.0, 1.0), "linear")
+    for tol, stops in ((1e-3, [120, 63, 115]), (3e-3, [15, 43, 115])):
+        cfg = DescentConfig(mode="online", max_iter=120, tol=tol, selection="polyak", burn_in=30)
+        want = [descend_oracle(spec, samples, p0, cfg, RngStream(3, c).generator())
+                for c, (spec, p0) in enumerate(zip(specs, starts))]
+        got = solve_lockstep(specs, samples, starts, cfg,
+                             [RngStream(3, c).generator() for c in range(3)])
+        assert [r.iterations for r in got] == stops
+        assert_same_results(got, want)
+
+
+def test_lockstep_divergence_names_the_chain():
+    """Only the Q3 chain with a huge gamma diverges; the error names it and
+    carries its last finite iterate, as ``descend`` on that chain alone reports them."""
+    samples = lockstep_rows(seed=2)
+    m = Gaussian(0.0, 1.0)
+    specs = [ObjectiveSpec("Q2", m), ObjectiveSpec("Q3", m, gamma=1e308)]
+    starts = [Predictor("linear", np.array([0.2, 0.3, 0.4]))] * 2
+    cfg = DescentConfig(mode="online", max_iter=60)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedToNonFinite) as alone:
+            descend_oracle(specs[1], samples, starts[1], cfg, RngStream(4, 1).generator())
+        with pytest.raises(DivergedToNonFinite) as err:
+            solve_lockstep(specs, samples, starts, cfg, [RngStream(4, c).generator() for c in range(2)])
+    assert err.value.chain == 1
+    assert str(err.value) == str(alone.value)
+    assert np.array_equal(err.value.last_iterate, alone.value.last_iterate)
+    assert np.all(np.isfinite(err.value.last_iterate))
+
+
+def test_lockstep_overflowing_row_names_the_chain():
+    X = np.array([[1e308, 1e308], [0.5, -0.25]])
+    samples = LearningSamples(np.zeros(2), X, np.arange(2.0))
+    m = Gaussian(0.0, 1.0)
+    specs = [ObjectiveSpec("Q2", m), ObjectiveSpec("Q3", m, gamma=5.0)]
+    starts = [Predictor("linear", np.zeros(2)), Predictor("linear", np.array([10.0, 10.0]))]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput) as err:
+            solve_lockstep(specs, samples, starts, DescentConfig(mode="online", max_iter=5),
+                           [RngStream(5, c).generator() for c in range(2)])
+    assert err.value.chain == 1
+
+
+def test_lockstep_rejects_what_it_cannot_pack():
+    samples = make_samples()
+    p0 = Predictor("linear", np.ones(3))
+    online = DescentConfig(mode="online", max_iter=5)
+    cases = [
+        ([ObjectiveSpec("Q2", GAUSS)], [p0], DescentConfig(mode="batch", max_iter=5)),
+        ([ObjectiveSpec("Q4", GAUSS, gamma=5.0)], [p0], online),
+        ([ObjectiveSpec("Q2", GAUSS), ObjectiveSpec("Q2", Cauchy(0.0, 1.0))], [p0, p0], online),
+        ([ObjectiveSpec("Q2", GAUSS)] * 2, [p0, Predictor("max", np.ones(3))], online),
+        ([ObjectiveSpec("Q2", GAUSS)] * 2, [p0], online),
+    ]
+    for specs, starts, cfg in cases:
+        with pytest.raises(DomainError):
+            solve_lockstep(specs, samples, starts, cfg, [RngStream(6, c).generator() for c in range(len(specs))])

@@ -2,12 +2,17 @@
 
 The tracer patches functions at the names where callers look them up, so a
 refactor that calls around one of those names silently zeroes a per-layer
-metric. Two one-point fits, online and batch, must reach every hook.
+metric. One-point fits through ``descend`` (online Q4 and batch Q3) must
+reach every hook. Online Q2/Q3 fits run through ``optimize.solve_lockstep``,
+which the tracer does not wrap: it sees their trace evaluations, and their
+steps only where ``run_fit`` reaches them through ``solve``.
 """
 
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import tailcast.distributions
 import tailcast.harness
@@ -37,11 +42,11 @@ def load_tracer():
     return module.Tracer
 
 
-def one_point_spec():
+def one_point_spec(variant="Q4"):
     return tailcast.harness.ExperimentSpec(
         name="hooks", process=GaussExpCov(), h=0.1, window=(0.0, 9.9),
         forecast_offsets=(10.0, 10.2), prediction_interval=(10.3, 10.3),
-        variant="Q3", descent=DescentConfig(mode="online", max_iter=20), seed=7)
+        variant=variant, descent=DescentConfig(mode="online", max_iter=20), seed=7)
 
 
 def test_tracer_reaches_every_hook_and_restores():
@@ -50,7 +55,8 @@ def test_tracer_reaches_every_hook_and_restores():
     tracer = load_tracer()(full=True)
     with tracer:
         tailcast.harness.run_fit(spec)
-        tailcast.harness.run_fit(replace(spec, descent=DescentConfig(mode="batch", max_iter=20)))
+        tailcast.harness.run_fit(replace(spec, variant="Q3",
+                                         descent=DescentConfig(mode="batch", max_iter=20)))
     metrics = tracer.layer_metrics()
     for name in ("objective.subgradient.calls", "objective.mean_subgradient.Q3.calls",
                  "objective.objective_value.calls", "optimize.solve.calls",
@@ -61,11 +67,26 @@ def test_tracer_reaches_every_hook_and_restores():
 
 
 def test_every_online_step_reaches_the_subgradient_hook():
+    """Each online step of the Q4 chain, which ``descend`` runs, is one hook
+    call; the Q2 chain's steps (one-chain ``solve_lockstep``) are counted by
+    ``optimize.steps`` but call no hook."""
     tracer = load_tracer()(full=True)
     with tracer:
-        tailcast.harness.run_fit(one_point_spec())
+        fits = tailcast.harness.run_fit(one_point_spec())
     metrics = tracer.layer_metrics()
-    assert metrics["optimize.steps"] > 0
-    assert metrics["objective.subgradient.calls"] == metrics["optimize.steps"]
-    # the descent loop builds no validated Predictor per step
+    q4_steps = fits.fits[103]["penalized"].iterations
+    assert q4_steps > 0
+    assert metrics["objective.subgradient.calls"] == q4_steps
+    assert metrics["optimize.steps"] == q4_steps + fits.fits[103]["unconstrained"].iterations
+    # the descent loops build no validated Predictor per step
     assert metrics["objective.Predictor.inits"] < metrics["optimize.steps"]
+
+
+def test_traced_lockstep_fit_is_unchanged():
+    spec = one_point_spec("Q3")
+    plain = tailcast.harness.run_fit(spec)
+    tracer = load_tracer()(full=True)
+    with tracer:
+        traced = tailcast.harness.run_fit(spec)
+    for method, pf in plain.fits[103].items():
+        assert np.array_equal(traced.fits[103][method].weights, pf.weights)
