@@ -14,7 +14,12 @@ class Unsupported(ValueError):
 
 
 class DomainError(ValueError):
-    """A scalar argument lies outside the mathematical domain."""
+    """A scalar argument lies outside the mathematical domain; ``key``, when
+    given, names the field it came from."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class InsufficientData(ValueError):

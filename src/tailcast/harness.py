@@ -27,7 +27,7 @@ import numpy as np
 from . import distributions
 from .csvio import write_csv
 from .distributions import Gaussian, Marginal
-from .errors import ConfigError, DivergedToNonFinite
+from .errors import ConfigError, DivergedToNonFinite, DomainError
 from .metrics import wasserstein2_samples
 from .objective import (
     PREDICTOR_KINDS,
@@ -255,10 +255,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     try:
         descent = DescentConfig(**{key: _checked(f"descent.{key}", value, _DESCENT_TYPES[key])
                                    for key, value in descent_dict.items()})
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("descent", str(exc)) from None
+    except DomainError as exc:
+        raise ConfigError(f"descent.{exc.key}" if exc.key else "descent", str(exc)) from None
     kwargs = dict(
         name=str(d["name"]),
         process=_process_from_dict(d["process"]),

@@ -73,29 +73,29 @@ class DescentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}")
+            raise DomainError(f"mode must be one of {MODES}", key="mode")
         if self.selection not in SELECTIONS:
-            raise DomainError(f"selection must be one of {SELECTIONS}")
+            raise DomainError(f"selection must be one of {SELECTIONS}", key="selection")
         if self.constraint not in CONSTRAINTS:
-            raise DomainError(f"constraint must be one of {CONSTRAINTS}")
+            raise DomainError(f"constraint must be one of {CONSTRAINTS}", key="constraint")
         if not (self.a > 0 and np.isfinite(self.a)):
-            raise DomainError("step scale a must be positive")
+            raise DomainError("step scale a must be positive", key="a")
         if not (self.b >= 0 and np.isfinite(self.b)):
-            raise DomainError("step offset b must be >= 0")
+            raise DomainError("step offset b must be >= 0", key="b")
         if self.mode == "online" and not (0.5 < self.beta <= 1.0):
-            raise DomainError("online mode needs 0.5 < beta <= 1")
+            raise DomainError("online mode needs 0.5 < beta <= 1", key="beta")
         if self.beta <= 0:
-            raise DomainError("beta must be positive")
+            raise DomainError("beta must be positive", key="beta")
         if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise DomainError("tol must be >= 0")
+            raise DomainError("max_iter must be >= 1", key="max_iter")
+        if not self.tol >= 0:  # NaN too
+            raise DomainError("tol must be >= 0", key="tol")
         if not (0 <= self.burn_in < self.max_iter):
-            raise DomainError("burn_in must lie in [0, max_iter)")
+            raise DomainError("burn_in must lie in [0, max_iter)", key="burn_in")
         if self.constraint == "ball" and not (self.radius > 0):
-            raise DomainError("ball constraint needs radius > 0")
+            raise DomainError("ball constraint needs radius > 0", key="radius")
         if self.trace_stride < 1:
-            raise DomainError("trace_stride must be >= 1")
+            raise DomainError("trace_stride must be >= 1", key="trace_stride")
 
     def step(self, l: int) -> float:
         return self.a * (self.b + l) ** (-self.beta)

@@ -135,13 +135,19 @@ def test_spec_from_dict_rejects_bad_descent_type_by_key(key, value):
     assert err.value.key == f"descent.{key}"
 
 
-def test_spec_from_dict_descent_domain_error_is_a_config_error():
+def test_spec_from_dict_rejects_descent_value_out_of_range_by_key():
     d = spec_to_dict(tiny_gauss_spec())
-    for key, value in (("max_iter", 0), ("beta", 0.4), ("mode", "momentum"), ("burn_in", 40)):
+    for key, value in (("mode", "momentum"), ("selection", "median"), ("constraint", "box"),
+                       ("a", 0.0), ("a", float("inf")), ("b", -1.0), ("beta", 0.4),
+                       ("max_iter", 0), ("tol", -1.0), ("tol", float("nan")), ("burn_in", 40),
+                       ("trace_stride", 0)):
         d2 = {**d, "descent": {**d["descent"], key: value}}
-        with pytest.raises(ConfigError, match=key) as err:
+        with pytest.raises(ConfigError) as err:
             spec_from_dict(d2)
-        assert err.value.key == "descent"
+        assert err.value.key == f"descent.{key}"
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict({**d, "descent": {**d["descent"], "constraint": "ball", "radius": 0.0}})
+    assert err.value.key == "descent.radius"
     # JSON integers are accepted as floats
     d["descent"] = {**d["descent"], "a": 10, "radius": 2}
     assert spec_from_dict(d).descent.a == 10.0
