@@ -369,30 +369,21 @@ class RowSubgradients:
         return M[:K]
 
 
-def _mean(a) -> float:
-    """``np.mean`` of a 1-D array without its Python-level wrapper: the same
-    pairwise sum (``np.add.reduce``) divided by the count."""
-    return float(np.add.reduce(a)) / a.size
-
-
 def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> float:
     """Mean of the per-row functional over all N rows.
 
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
-    from ``rng`` if given, else from ``spec.bootstrap``. The predictions are
-    checked finite once; the cdf runs unchecked on them and on max(y, g).
+    from ``rng`` if given, else from ``spec.bootstrap``.
     """
-    F = spec.marginal._cdf
+    F = spec.marginal.cdf
     ghat = p.values(samples.X)
-    if not np.isfinite(ghat).all():
-        raise NonFiniteInput("predictions contain non-finite values")
     fg = F(ghat)
     q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
     if spec.variant == "Q2":
-        return _mean(q2)
+        return float(np.mean(q2))
     if spec.variant == "Q3":
         yb = fg[_bootstrap_rows(spec, rng, samples.count)]
-        return _mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb)))
+        return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
     # Q4 mean via the sorted identity:
     # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
     n = samples.count

@@ -287,8 +287,8 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     from its own generator in ``descend``'s order, and so do its trace
     evaluations; a chain that stops on ``tol`` draws nothing more. One step
     of all running chains is one ``RowSubgradients`` call, one update of
-    the (K, n) iterate array with the cached step size and one finiteness
-    check; the projection, the ``tol`` test, the traces and the selection
+    the (K, n) iterate array with the step size ``cfg.step(l)`` and one
+    finiteness check; the projection, the ``tol`` test, the traces and the selection
     stay per chain. The specs share one marginal and the starts one form.
     An error raised for one chain carries its index in ``chain``.
     """
@@ -307,7 +307,6 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     for c, (spec, p0, g) in enumerate(zip(specs, starts, gens)):
         with _chain_errors(c):
             traces.append(_Trace(_spec_problem(spec, samples).value, p0, g, W[c]))
-    steps = [cfg.step(l) for l in range(cfg.max_iter)]
     count, stride, tol = samples.count, cfg.trace_stride, cfg.tol
     polyak, constrained = cfg.selection == "polyak", cfg.constraint != "unconstrained"
     results = [None] * len(specs)
@@ -329,7 +328,7 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
             except NonFiniteInput as exc:
                 exc.chain = active[exc.chain]
                 raise
-            new = W - steps[l] * grads
+            new = W - cfg.step(l) * grads
             if constrained:
                 for i in range(len(active)):
                     new[i] = project(cfg.constraint, new[i], cfg.radius)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,26 @@ def test_lockstep_chains_stop_at_different_steps():
                              [RngStream(3, c).generator() for c in range(3)])
         assert [r.iterations for r in got] == stops
         assert_same_results(got, want)
+
+
+def test_lockstep_budget_costs_no_memory_up_front():
+    """A budget far beyond the run ("step until tol") stops on tol after a
+    few steps, as ``descend`` does, and allocates nothing per budgeted step."""
+    samples = lockstep_rows(seed=1)
+    specs, starts = lockstep_chains(Cauchy(0.0, 1.0), "linear")
+    cfg = DescentConfig(mode="online", max_iter=10**7, tol=3e-3, selection="polyak", burn_in=30)
+    tracemalloc.start()
+    try:
+        got = solve_lockstep(specs, samples, starts, cfg,
+                             [RngStream(3, c).generator() for c in range(3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [r.iterations for r in got] == [15, 43, 115]
+    want = [descend_oracle(spec, samples, p0, cfg, RngStream(3, c).generator())
+            for c, (spec, p0) in enumerate(zip(specs, starts))]
+    assert_same_results(got, want)
 
 
 def test_lockstep_divergence_names_the_chain():
