@@ -111,8 +111,8 @@ class ExperimentSpec:
             raise ConfigError("h", "must be positive and finite")
         if self.replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", "must lie in [0, 2**64 - 1]")
         if self.init_count < 1:
             raise ConfigError("init_count", "must be >= 1")
         if self.max_rows is not None and self.max_rows < 1:
@@ -129,12 +129,15 @@ class ExperimentSpec:
             raise ConfigError("predictor_kind", f"must be one of {PREDICTOR_KINDS}")
         if self.init_strategy not in COLD_STARTS:
             raise ConfigError("init_strategy", f"must be one of {COLD_STARTS}")
-        interval = tuple(float(v) for v in self.prediction_interval)
-        if len(interval) != 2 or interval[1] < interval[0]:
-            raise ConfigError("prediction_interval", "must be [lo, hi] with lo <= hi")
-        object.__setattr__(self, "window", tuple(float(v) for v in self.window))
-        object.__setattr__(self, "forecast_offsets", tuple(float(v) for v in self.forecast_offsets))
-        object.__setattr__(self, "prediction_interval", interval)
+        for key in ("window", "prediction_interval"):
+            lo_hi = tuple(float(v) for v in getattr(self, key))
+            if len(lo_hi) != 2 or not np.all(np.isfinite(lo_hi)) or lo_hi[1] < lo_hi[0]:
+                raise ConfigError(key, "must be [lo, hi] with finite lo <= hi")
+            object.__setattr__(self, key, lo_hi)
+        offsets = tuple(float(v) for v in self.forecast_offsets)
+        if not offsets or not np.all(np.isfinite(offsets)):
+            raise ConfigError("forecast_offsets", "must be a non-empty list of finite numbers")
+        object.__setattr__(self, "forecast_offsets", offsets)
 
     # --- derived geometry -------------------------------------------------
     @property
@@ -167,6 +170,9 @@ class ExperimentSpec:
 _DESCENT_TYPES = {"mode": str, "a": float, "b": float, "beta": float, "max_iter": int,
                   "tol": float, "burn_in": int, "selection": str, "constraint": str,
                   "radius": float, "trace_stride": int}
+# process kind -> its keys besides "kind"
+_PROCESS_KEYS = {"gauss_exp_cov": (), "stable_ma": ("alpha",),
+                 "ar_student_t": ("phi", "innovation")}
 _SPEC_KEYS = ("name", "process", "h", "window", "forecast_offsets",
               "prediction_interval", "predictor_kind", "variant", "gamma",
               "marginal_mode", "marginal_family", "max_rows", "descent",
@@ -188,19 +194,29 @@ def _process_to_dict(p: ProcessSpec) -> dict:
 def _process_from_dict(d: dict) -> ProcessSpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("process", "must be an object with a 'kind' key")
-    kind = d["kind"]
+    kind = _checked("process.kind", d["kind"], str)
+    if kind not in _PROCESS_KEYS:
+        raise ConfigError("process.kind", f"unknown process kind {kind!r}")
+    for key in d:
+        if key != "kind" and key not in _PROCESS_KEYS[kind]:
+            raise ConfigError(f"process.{key}", f"unknown key for {kind}")
+    for key in _PROCESS_KEYS[kind]:
+        if key not in d:
+            raise ConfigError(f"process.{key}", f"required for {kind}")
     if kind == "gauss_exp_cov":
         return GaussExpCov()
     if kind == "stable_ma":
-        if "alpha" not in d:
-            raise ConfigError("process.alpha", "required for stable_ma")
-        return StableMovingAverage(float(d["alpha"]))
-    if kind == "ar_student_t":
-        for key in ("phi", "innovation"):
-            if key not in d:
-                raise ConfigError(f"process.{key}", "required for ar_student_t")
-        return ArStudentT(tuple(d["phi"]), distributions.from_json(d["innovation"]))
-    raise ConfigError("process.kind", f"unknown process kind {kind!r}")
+        return _built("process.alpha", StableMovingAverage,
+                      _checked("process.alpha", d["alpha"], float))
+    innovation = d["innovation"]
+    if not (isinstance(innovation, dict) and set(innovation) <= {"family", "params"}
+            and isinstance(innovation.get("params", {}), dict)):
+        raise ConfigError("process.innovation", "must be an object {family, params}")
+    params = {name: _checked("process.innovation", v, float)
+              for name, v in innovation.get("params", {}).items()}
+    innovation = _built("process.innovation", distributions.from_json,
+                        {"family": innovation.get("family"), "params": params})
+    return _built("process.phi", ArStudentT, _numbers("process.phi", d["phi"]), innovation)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -234,7 +250,26 @@ def _checked(key, value, kind):
     accepted = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(key, f"must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(key, "integer beyond the float range") from None
+
+
+def _numbers(key, value) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise ConfigError(key, f"must be a list of numbers, got {value!r}")
+    return tuple(_checked(key, v, float) for v in value)
+
+
+def _built(key, build, *args):
+    """``build(*args)``, naming config key ``key`` in any domain error it
+    raises, or in the TypeError of an unknown or missing parameter name."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
@@ -258,12 +293,12 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     except DomainError as exc:
         raise ConfigError(f"descent.{exc.key}" if exc.key else "descent", str(exc)) from None
     kwargs = dict(
-        name=str(d["name"]),
+        name=_checked("name", d["name"], str),
         process=_process_from_dict(d["process"]),
         h=_checked("h", d["h"], float),
-        window=tuple(d["window"]),
-        forecast_offsets=tuple(d["forecast_offsets"]),
-        prediction_interval=tuple(d["prediction_interval"]),
+        window=_numbers("window", d["window"]),
+        forecast_offsets=_numbers("forecast_offsets", d["forecast_offsets"]),
+        prediction_interval=_numbers("prediction_interval", d["prediction_interval"]),
         descent=descent,
     )
     for key, kind in (("predictor_kind", str), ("variant", str), ("gamma", float),
@@ -272,16 +307,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
                       ("wasserstein_raw", bool)):
         if key in d:
             kwargs[key] = _checked(key, d[key], kind)
-    if d.get("marginal_family") is not None:
-        kwargs["marginal_family"] = str(d["marginal_family"])
-    if d.get("max_rows") is not None:
-        kwargs["max_rows"] = _checked("max_rows", d["max_rows"], int)
-    try:
-        return ExperimentSpec(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from None
+    for key, kind in (("marginal_family", str), ("max_rows", int)):
+        if d.get(key) is not None:
+            kwargs[key] = _checked(key, d[key], kind)
+    return ExperimentSpec(**kwargs)
 
 
 # --- fitting ----------------------------------------------------------------

@@ -7,21 +7,22 @@ steps are square-summable but not summable. Selection of the returned
 iterate is by last iterate, Polyak-Ruppert averaging past a burn-in, or the
 traced iterate with the smallest full objective.
 
-The loop itself is exposed through ``descend`` acting on a ``DescentProblem``
-(value / row_grad / mean_grad callables), so it can be exercised on analytic
-objectives; ``solve`` wires in the statistical functionals from
-:mod:`tailcast.objective`. ``solve_lockstep`` runs several online Q2/Q3
-solves on the same rows together, one packed row step for all of them per
-iteration, with the results ``descend`` gives each alone; ``solve`` sends
-online Q2/Q3 there.
+One loop, ``_descend_chains``, steps K chains together; each chain keeps its
+own generator, projection, ``tol`` stop, trace and selection. ``descend``
+runs it on one chain of a ``DescentProblem`` (value / row_grad / mean_grad
+callables), so it can be exercised on analytic objectives.
+``solve_lockstep`` runs several online Q2/Q3 solves on the same rows
+through it, one packed ``RowSubgradients`` call per step, with the results
+``descend`` gives each alone. ``solve`` wires in the statistical
+functionals from :mod:`tailcast.objective`: online Q2/Q3 go to
+``solve_lockstep``, batch mode and Q4 to ``descend``.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -148,8 +149,7 @@ def _spec_problem(spec: ObjectiveSpec, samples: LearningSamples) -> DescentProbl
         return objective_value(spec, p, samples, rng=rng)
 
     def row_grad(p, j, rng):
-        b = int(rng.integers(0, samples.count)) if spec.variant == "Q3" else None
-        return subgradient(spec, p, samples, j, bootstrap_index=b)
+        return subgradient(spec, p, samples, j)
 
     def mean_grad(p, rng):
         return mean_subgradient(spec, p, samples, rng=rng)
@@ -187,17 +187,22 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
 
 
 class _Trace:
-    """The traced objective values and best traced iterate of one descent,
-    and the iterate its selection rule returns."""
+    """The traced objective values and best traced iterate of descent chain
+    ``chain``, and the iterate its selection rule returns. An error raised
+    while evaluating carries the chain's index in ``chain``."""
 
-    def __init__(self, value, p0, rng, lam):
-        self.value, self.p0, self.rng = value, p0, rng
+    def __init__(self, chain, value, p0, rng, lam):
+        self.chain, self.value, self.p0, self.rng = chain, value, p0, rng
         self.iters, self.vals, self.lams = [], [], []
         self.best_val, self.best_lam = np.inf, lam.copy()
         self.record(0, lam)
 
     def record(self, l, current):
-        val = float(self.value(self.p0.with_weights(current), self.rng))
+        try:
+            val = float(self.value(self.p0.with_weights(current), self.rng))
+        except (ValueError, RuntimeError) as exc:
+            exc.chain = self.chain
+            raise
         self.iters.append(l)
         self.vals.append(val)
         self.lams.append(current.copy())
@@ -222,37 +227,77 @@ class _Trace:
         )
 
 
+def _descend_chains(grads, values, starts, cfg: DescentConfig, gens) -> list:
+    """The projected subgradient loop, stepping K chains together.
+
+    Chain c starts from ``starts[c]`` and traces ``values[c](p, gens[c])``.
+    ``grads(W, active)`` returns the subgradients at the iterate rows W of
+    the running chains ``active`` (row i is chain ``active[i]``), each
+    drawing its rows from its own generator. A step takes one step size,
+    one update of W and one finiteness check; the projection, the ``tol``
+    stop, the trace and the selection are per chain, and a chain that stops
+    draws nothing more. Result c's ``seconds`` is the wall time until chain
+    c stopped. An error raised for one chain carries its index in ``chain``.
+    """
+    t_start = time.perf_counter()
+    W = np.array([project(cfg.constraint, np.array(p.weights, dtype=float), cfg.radius)
+                  for p in starts])
+    traces = [_Trace(c, value, p0, g, W[c])
+              for c, (value, p0, g) in enumerate(zip(values, starts, gens))]
+    polyak, constrained = cfg.selection == "polyak", cfg.constraint != "unconstrained"
+    results = [None] * len(starts)
+    active = list(range(len(starts)))
+    avg_sum, avg_count = np.zeros_like(W), 0
+    l = 0
+    while active:
+        if polyak and l >= cfg.burn_in:
+            avg_sum += W
+            avg_count += 1
+        new = W - cfg.step(l) * grads(W, active)
+        if constrained:
+            for i in range(len(active)):
+                new[i] = project(cfg.constraint, new[i], cfg.radius)
+        if not np.isfinite(new).all():
+            i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+            exc = DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=W[i].copy())
+            exc.chain = active[i]
+            raise exc
+        stopped = []
+        if cfg.tol > 0:
+            stopped = [i for i in range(len(active))
+                       if float(np.linalg.norm(new[i] - W[i])) < cfg.tol]
+        W = new
+        l += 1
+        if l % cfg.trace_stride == 0 or l == cfg.max_iter:
+            for i, c in enumerate(active):
+                traces[c].record(l, W[i])
+        if l == cfg.max_iter:
+            stopped = range(len(active))
+        for i in stopped:
+            c = active[i]
+            if traces[c].iters[-1] != l:
+                traces[c].record(l, W[i])
+            results[c] = traces[c].result(cfg, W[i], avg_sum[i], avg_count, l,
+                                          time.perf_counter() - t_start)
+        if stopped:
+            keep = [i for i, c in enumerate(active) if results[c] is None]
+            active = [active[i] for i in keep]
+            W, avg_sum = W[keep], avg_sum[keep]
+    return results
+
+
 def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> SolveResult:
     """Run the projected subgradient loop on an arbitrary problem."""
     g = as_generator(rng)
-    t_start = time.perf_counter()
-    lam = project(cfg.constraint, np.array(p0.weights, dtype=float), cfg.radius)
-    trace = _Trace(problem.value, p0, g, lam)
-    avg_sum, avg_count = np.zeros_like(lam), 0
-    steps = 0
-    for l in range(cfg.max_iter):
-        if l >= cfg.burn_in:
-            avg_sum += lam
-            avg_count += 1
-        p = p0.with_weights(lam)
+
+    def grads(W, active):
+        p = p0.with_weights(W[0])
         if cfg.mode == "batch":
-            grad = problem.mean_grad(p, g)
-        else:
-            j = int(g.integers(0, problem.count))
-            grad = problem.row_grad(p, j, g)
-        new = project(cfg.constraint, lam - cfg.step(l) * np.asarray(grad, dtype=float), cfg.radius)
-        if not np.all(np.isfinite(new)):
-            raise DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=lam.copy())
-        stop = cfg.tol > 0 and float(np.linalg.norm(new - lam)) < cfg.tol
-        lam = new
-        steps = l + 1
-        if steps % cfg.trace_stride == 0 or steps == cfg.max_iter:
-            trace.record(steps, lam)
-        if stop:
-            if trace.iters[-1] != steps:
-                trace.record(steps, lam)
-            break
-    return trace.result(cfg, lam, avg_sum, avg_count, steps, time.perf_counter() - t_start)
+            return np.asarray(problem.mean_grad(p, g), dtype=float)
+        j = int(g.integers(0, problem.count))
+        return np.asarray(problem.row_grad(p, j, g), dtype=float)
+
+    return _descend_chains(grads, [problem.value], [p0], cfg, [g])[0]
 
 
 def solve(spec: ObjectiveSpec, samples: LearningSamples, p0: Predictor,
@@ -260,37 +305,23 @@ def solve(spec: ObjectiveSpec, samples: LearningSamples, p0: Predictor,
     """Minimize the chosen empirical functional starting from p0.
 
     Online Q2/Q3 runs as a one-chain ``solve_lockstep``, everything else
-    through ``descend``; both step the same way.
+    through ``descend``; both step through the same loop.
     """
     if cfg.mode == "online" and spec.variant != "Q4":
         return solve_lockstep([spec], samples, [p0], cfg, [rng])[0]
     return descend(_spec_problem(spec, samples), p0, cfg, rng)
 
 
-@contextmanager
-def _chain_errors(chain):
-    """Mark an error raised inside as raised for lockstep chain ``chain``."""
-    try:
-        yield
-    except (ValueError, RuntimeError) as exc:
-        exc.chain = chain
-        raise
-
-
 def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, rngs) -> list:
     """Online solves of Q2/Q3 functionals on the same rows, stepped together.
 
     Result c equals ``descend`` stepping chain c alone along
-    ``subgradient`` bit for bit, ``seconds`` aside (the wall time until
-    chain c stopped).
-    Every chain draws its row j, and a Q3 chain then its bootstrap row b,
-    from its own generator in ``descend``'s order, and so do its trace
-    evaluations; a chain that stops on ``tol`` draws nothing more. One step
-    of all running chains is one ``RowSubgradients`` call, one update of
-    the (K, n) iterate array with the step size ``cfg.step(l)`` and one
-    finiteness check; the projection, the ``tol`` test, the traces and the selection
-    stay per chain. The specs share one marginal and the starts one form.
-    An error raised for one chain carries its index in ``chain``.
+    ``subgradient`` bit for bit, ``seconds`` aside. Every chain draws its
+    row j, and a Q3 chain then its bootstrap row b, from its own generator,
+    and the subgradients of all running chains come from one
+    ``RowSubgradients`` call per step. The specs share one marginal and the
+    starts one form. An error raised for one chain carries its index in
+    ``chain``.
     """
     if cfg.mode != "online":
         raise DomainError("the lockstep engine runs online descent only")
@@ -298,68 +329,24 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
         raise DomainError("need one spec, start and rng per chain")
     if any(p.kind != starts[0].kind for p in starts):
         raise DomainError("lockstep chains must share the predictor form")
-    kernel = RowSubgradients(specs, samples, starts[0])
-    t_start = time.perf_counter()
+    kernel, packed = RowSubgradients(specs, samples, starts[0]), list(range(len(specs)))
     gens = [as_generator(r) for r in rngs]
-    W = np.array([project(cfg.constraint, np.array(p.weights, dtype=float), cfg.radius)
-                  for p in starts])
-    traces = []
-    for c, (spec, p0, g) in enumerate(zip(specs, starts, gens)):
-        with _chain_errors(c):
-            traces.append(_Trace(_spec_problem(spec, samples).value, p0, g, W[c]))
-    count, stride, tol = samples.count, cfg.trace_stride, cfg.tol
-    polyak, constrained = cfg.selection == "polyak", cfg.constraint != "unconstrained"
-    results = [None] * len(specs)
-    active = list(range(len(specs)))  # running chains; row i of W is chain active[i]
-    avg_sum, avg_count = np.zeros_like(W), 0
-    l = 0
-    while active:
-        j_gens = [gens[c] for c in active]
-        b_gens = [gens[c] for c in active if specs[c].variant == "Q3"]
-        stopped = []
-        while l < cfg.max_iter and not stopped:
-            if polyak and l >= cfg.burn_in:
-                avg_sum += W
-                avg_count += 1
-            js = [int(g.integers(0, count)) for g in j_gens]
-            bs = [int(g.integers(0, count)) for g in b_gens]
-            try:
-                grads = kernel(W, js, bs)
-            except NonFiniteInput as exc:
-                exc.chain = active[exc.chain]
-                raise
-            new = W - cfg.step(l) * grads
-            if constrained:
-                for i in range(len(active)):
-                    new[i] = project(cfg.constraint, new[i], cfg.radius)
-            if not np.isfinite(new).all():
-                i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
-                exc = DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=W[i].copy())
-                exc.chain = active[i]
-                raise exc
-            if tol > 0:
-                stopped = [i for i in range(len(active))
-                           if float(np.linalg.norm(new[i] - W[i])) < tol]
-            W = new
-            l += 1
-            if l % stride == 0 or l == cfg.max_iter:
-                for i, c in enumerate(active):
-                    with _chain_errors(c):
-                        traces[c].record(l, W[i])
-        # the chains that stopped, or all of them at the end of the budget
-        for i in stopped if l < cfg.max_iter else range(len(active)):
-            c = active[i]
-            if traces[c].iters[-1] != l:
-                with _chain_errors(c):
-                    traces[c].record(l, W[i])
-            results[c] = traces[c].result(cfg, W[i], avg_sum[i], avg_count, l,
-                                          time.perf_counter() - t_start)
-        keep = [i for i, c in enumerate(active) if results[c] is None]
-        active = [active[i] for i in keep]
-        if active:
-            W, avg_sum = W[keep], avg_sum[keep]
+
+    def grads(W, active):
+        nonlocal kernel, packed
+        if active != packed:  # a chain stopped: pack the rest
             kernel = RowSubgradients([specs[c] for c in active], samples, starts[0])
-    return results
+            packed = active
+        js = [int(gens[c].integers(0, samples.count)) for c in active]
+        bs = [int(gens[c].integers(0, samples.count)) for c in active if specs[c].variant == "Q3"]
+        try:
+            return kernel(W, js, bs)
+        except NonFiniteInput as exc:
+            exc.chain = active[exc.chain]
+            raise
+
+    values = [_spec_problem(spec, samples).value for spec in specs]
+    return _descend_chains(grads, values, starts, cfg, gens)
 
 
 def write_trace_csv(path, result: SolveResult) -> None:

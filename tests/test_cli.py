@@ -157,6 +157,36 @@ def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("overrides, key", [
+    ({"process": {"kind": "ar_student_t", "phi": [0.5], "innovation": 5}}, "process.innovation"),
+    ({"process": {"kind": "stable_ma", "alpha": "x"}}, "process.alpha"),
+    ({"process": {"kind": "stable_ma", "alpha": 0.7}}, "process.alpha"),
+    ({"process": {"kind": "ar_student_t", "phi": [2.0],
+                  "innovation": {"family": "student_t", "params": {"nu": 0.8}}}}, "process.phi"),
+    ({"window": [0.0, 4.9, 9.9]}, "window"), ({"window": [9.9, 0.0]}, "window"),
+    ({"window": "abc"}, "window"), ({"forecast_offsets": []}, "forecast_offsets"),
+    ({"forecast_offsets": [float("inf")]}, "forecast_offsets"),
+    ({"forecast_offsets": "x"}, "forecast_offsets"),
+    ({"prediction_interval": "ab"}, "prediction_interval"),
+    ({"name": [1, 2]}, "name"), ({"marginal_family": 3}, "marginal_family"),
+    ({"seed": 2**64}, "seed"),
+])
+def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
+                                                          command, overrides, key):
+    import tailcast.harness
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "_simulate_training", no_simulation)
+    cfg = tiny_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code_before_simulating(tmp_path, capsys, threads):
     cfg = tiny_config(tmp_path)

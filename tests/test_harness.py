@@ -180,10 +180,42 @@ def test_spec_from_dict_defaults_apply():
     ("prediction_interval", [10.5, 10.3]), ("prediction_interval", [10.3]),
     ("gamma", float("nan")), ("gamma", -1.0),
     ("init_strategy", "bogus"), ("init_strategy", "warm"),
+    ("window", [0.0, 4.9, 9.9]), ("window", [9.9, 0.0]), ("window", "abc"),
+    ("window", [0.0, float("inf")]), ("forecast_offsets", []),
+    ("forecast_offsets", [float("inf")]), ("forecast_offsets", "x"),
+    ("prediction_interval", "ab"), ("prediction_interval", [10.3, float("nan")]),
+    ("name", [1, 2]), ("marginal_family", 3), ("seed", 2**64), ("h", 10**400),
 ])
 def test_spec_from_dict_rejects_bad_value_by_key(key, value):
     d = spec_to_dict(tiny_gauss_spec())
     d[key] = value
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict(d)
+    assert err.value.key == key
+
+
+AR3 = {"kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
+       "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}}
+
+
+@pytest.mark.parametrize("process, key", [
+    ({"kind": 3}, "process.kind"), ({"kind": "arma"}, "process.kind"),
+    ({"kind": "gauss_exp_cov", "alpha": 1.0}, "process.alpha"),
+    ({"kind": "stable_ma"}, "process.alpha"),
+    ({"kind": "stable_ma", "alpha": "x"}, "process.alpha"),
+    ({"kind": "stable_ma", "alpha": 0.7}, "process.alpha"),
+    ({**AR3, "innovation": 5}, "process.innovation"),
+    ({**AR3, "innovation": {"family": "pareto"}}, "process.innovation"),
+    ({**AR3, "innovation": {"family": "student_t", "params": {"nu": "x"}}}, "process.innovation"),
+    ({**AR3, "innovation": {"family": "student_t", "params": {"df": 1.0}}}, "process.innovation"),
+    ({**AR3, "innovation": {"family": "student_t", "params": {"nu": -1.0}}},
+     "process.innovation"),
+    ({**AR3, "phi": [2.0]}, "process.phi"), ({**AR3, "phi": []}, "process.phi"),
+    ({**AR3, "phi": "x"}, "process.phi"), ({**AR3, "phi": [float("nan")]}, "process.phi"),
+])
+def test_spec_from_dict_rejects_bad_process_value_by_key(process, key):
+    d = spec_to_dict(tiny_gauss_spec())
+    d["process"] = process
     with pytest.raises(ConfigError) as err:
         spec_from_dict(d)
     assert err.value.key == key

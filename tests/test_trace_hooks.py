@@ -2,10 +2,13 @@
 
 The tracer patches functions at the names where callers look them up, so a
 refactor that calls around one of those names silently zeroes a per-layer
-metric. One-point fits through ``descend`` (online Q4 and batch Q3) must
-reach every hook. Online Q2/Q3 fits run through ``optimize.solve_lockstep``,
-which the tracer does not wrap: it sees their trace evaluations, and their
-steps only where ``run_fit`` reaches them through ``solve``.
+metric. Every descent runs the one step loop of ``optimize``; one-point fits
+through ``descend`` (online Q4 and batch Q3) reach it through
+``harness.solve`` and step along ``optimize.subgradient`` or
+``optimize.mean_subgradient``, so they must reach every hook. Online Q2/Q3
+fits step through ``optimize.solve_lockstep``'s packed row kernel, which the
+tracer does not wrap: it sees their trace evaluations, and their steps only
+where ``run_fit`` reaches them through ``solve``.
 """
 
 import importlib.util
