@@ -3,7 +3,9 @@
 Each case runs ``run_fit`` and ``run_eval`` (R=50) and compares the sha256 of
 ``weights.csv`` and ``eval.csv`` with a digest recorded for the installed
 numpy/scipy pair; floating-point results may differ under other versions,
-so the test skips there. Together the cases reach all three predictor forms
+so the test skips there. The ``manifest.json`` that ``evaluate`` writes for
+each full preset is pinned the same way (it names the numpy/scipy versions),
+so a config that reads back with a changed type or key order shows. Together the cases reach all three predictor forms
 (``squared`` through the levy presets, ``max`` through the extra case), both
 interpolation and extrapolation designs, batch and online descent, all
 three functionals (Q4 both online and in batch), the estimated-marginal
@@ -14,8 +16,8 @@ After a numpy or scipy upgrade, re-pin by running
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-on a commit whose outputs are known good, and pasting the printed table into
-``PINS`` under the new version key.
+on a commit whose outputs are known good, and pasting the two printed tables
+into ``PINS`` and ``MANIFEST_PINS`` under the new version key.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 import scipy
 
-from tailcast.cli import PRESETS
+from tailcast.cli import PRESETS, _load_config, _write_manifest
 from tailcast.harness import run_eval, run_fit, spec_from_dict, write_eval_csv, write_weights_csv
 
 ARTIFACTS = ("weights.csv", "eval.csv")
@@ -114,6 +116,20 @@ PINS = {
 }
 
 
+# preset -> sha256 of the manifest.json that ``tailcast evaluate`` writes for it
+MANIFEST_PINS = {
+    "numpy 2.4.6 / scipy 1.17.1": {
+        "ar3": "fd45f9f496ae9049336491ea4078b37f30fc0b4cb9e20c37ccc93aaae8391d05",
+        "cauchy_extrap": "352f5796ba258aa21d0bb9f0f313db7ba58d2fe339f983b5ecf3f99f0cd3c93c",
+        "cauchy_interp": "a293b5529eeb7cc80c0eb5af30055b83f828e433e5df1251b70e21fb72ebcb1a",
+        "gauss_extrap": "35999034fee3128881b5e01b717af94fe41735d3f26f0214499212ac47ec922d",
+        "gauss_interp": "645c671fcb90978d7a4fde6a7d1f528756842b260293ddbc268f8899b6157bbe",
+        "levy_extrap": "7ad5d3b249e8b0134a2f61cc7cf9caabb1241ec569531899920557c06e1db312",
+        "levy_interp": "ee16983d2643d5aa8c0c7d5628d947f2864e8dbeb37d7a8cb7c1654efcc10dba",
+    },
+}
+
+
 def versions_key() -> str:
     return f"numpy {np.__version__} / scipy {scipy.__version__}"
 
@@ -145,6 +161,19 @@ def test_golden_digests(case, tmp_path):
     assert case_digests(case, tmp_path) == pins[case]
 
 
+def manifest_digest(preset: str, out) -> str:
+    _write_manifest(str(out), _load_config(preset), "evaluate")
+    return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_manifest_digests(preset, tmp_path):
+    pins = MANIFEST_PINS.get(versions_key())
+    if pins is None:
+        pytest.skip(f"no manifest digests for {versions_key()}; re-pin as the module docstring says")
+    assert manifest_digest(preset, tmp_path) == pins[preset]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -154,3 +183,8 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             table[case] = case_digests(case, Path(tmp))
     print(json.dumps({versions_key(): table}, indent=4, sort_keys=True))
+    manifests = {}
+    for preset in PRESETS:
+        with tempfile.TemporaryDirectory() as tmp:
+            manifests[preset] = manifest_digest(preset, Path(tmp))
+    print(json.dumps({versions_key(): manifests}, indent=4, sort_keys=True))
