@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -166,6 +166,15 @@ class ExperimentSpec:
 
 # --- JSON config ----------------------------------------------------------
 
+# top-level key -> the JSON type ``spec_from_dict`` requires of it; a key is
+# required when its ExperimentSpec field has no default, and may be null
+# when that default is None
+_SPEC_TYPES = {"name": str, "process": dict, "h": float, "window": list,
+               "forecast_offsets": list, "prediction_interval": list,
+               "predictor_kind": str, "variant": str, "gamma": float,
+               "marginal_mode": str, "marginal_family": str, "max_rows": int,
+               "descent": dict, "replicates": int, "seed": int, "warm_start": bool,
+               "init_strategy": str, "init_count": int, "wasserstein_raw": bool}
 # descent key -> the type ``spec_from_dict`` requires of it
 _DESCENT_TYPES = {"mode": str, "a": float, "b": float, "beta": float, "max_iter": int,
                   "tol": float, "burn_in": int, "selection": str, "constraint": str,
@@ -173,11 +182,6 @@ _DESCENT_TYPES = {"mode": str, "a": float, "b": float, "beta": float, "max_iter"
 # process kind -> its keys besides "kind"
 _PROCESS_KEYS = {"gauss_exp_cov": (), "stable_ma": ("alpha",),
                  "ar_student_t": ("phi", "innovation")}
-_SPEC_KEYS = ("name", "process", "h", "window", "forecast_offsets",
-              "prediction_interval", "predictor_kind", "variant", "gamma",
-              "marginal_mode", "marginal_family", "max_rows", "descent",
-              "replicates", "seed", "warm_start", "init_strategy",
-              "init_count", "wasserstein_raw")
 
 
 def _process_to_dict(p: ProcessSpec) -> dict:
@@ -219,29 +223,26 @@ def _process_from_dict(d: dict) -> ProcessSpec:
     return _built("process.phi", ArStudentT, _numbers("process.phi", d["phi"]), innovation)
 
 
+def _descent_from_dict(d: dict) -> DescentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError("descent", "must be an object")
+    for key in d:
+        if key not in _DESCENT_TYPES:
+            raise ConfigError(f"descent.{key}", "unknown key")
+    try:
+        return DescentConfig(**{key: _checked(f"descent.{key}", value, _DESCENT_TYPES[key])
+                                for key, value in d.items()})
+    except DomainError as exc:
+        raise ConfigError(f"descent.{exc.key}" if exc.key else "descent", str(exc)) from None
+
+
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    d = spec.descent
-    return {
-        "name": spec.name,
-        "process": _process_to_dict(spec.process),
-        "h": spec.h,
-        "window": list(spec.window),
-        "forecast_offsets": list(spec.forecast_offsets),
-        "prediction_interval": list(spec.prediction_interval),
-        "predictor_kind": spec.predictor_kind,
-        "variant": spec.variant,
-        "gamma": spec.gamma,
-        "marginal_mode": spec.marginal_mode,
-        "marginal_family": spec.marginal_family,
-        "max_rows": spec.max_rows,
-        "descent": {k: getattr(d, k) for k in _DESCENT_TYPES},
-        "replicates": spec.replicates,
-        "seed": spec.seed,
-        "warm_start": spec.warm_start,
-        "init_strategy": spec.init_strategy,
-        "init_count": spec.init_count,
-        "wasserstein_raw": spec.wasserstein_raw,
-    }
+    out = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    for key, value in out.items():
+        if isinstance(value, tuple):
+            out[key] = list(value)
+    out.update(process=_process_to_dict(spec.process), descent=asdict(spec.descent))
+    return out
 
 
 def _checked(key, value, kind):
@@ -272,44 +273,28 @@ def _built(key, build, *args):
         raise ConfigError(key, str(exc)) from None
 
 
+def _read(key, value):
+    """The JSON value of top-level key ``key`` as its ExperimentSpec field."""
+    kind = _SPEC_TYPES[key]
+    if kind is dict:
+        return {"process": _process_from_dict, "descent": _descent_from_dict}[key](value)
+    if kind is list:
+        return _numbers(key, value)
+    return _checked(key, value, kind)
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
     if not isinstance(d, dict):
         raise ConfigError("config", "top level must be a JSON object")
     for key in d:
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_TYPES:
             raise ConfigError(key, "unknown key")
-    for key in ("name", "process", "h", "window", "forecast_offsets", "prediction_interval"):
-        if key not in d:
-            raise ConfigError(key, "missing required key")
-    descent_dict = d.get("descent", {})
-    if not isinstance(descent_dict, dict):
-        raise ConfigError("descent", "must be an object")
-    for key in descent_dict:
-        if key not in _DESCENT_TYPES:
-            raise ConfigError(f"descent.{key}", "unknown key")
-    try:
-        descent = DescentConfig(**{key: _checked(f"descent.{key}", value, _DESCENT_TYPES[key])
-                                   for key, value in descent_dict.items()})
-    except DomainError as exc:
-        raise ConfigError(f"descent.{exc.key}" if exc.key else "descent", str(exc)) from None
-    kwargs = dict(
-        name=_checked("name", d["name"], str),
-        process=_process_from_dict(d["process"]),
-        h=_checked("h", d["h"], float),
-        window=_numbers("window", d["window"]),
-        forecast_offsets=_numbers("forecast_offsets", d["forecast_offsets"]),
-        prediction_interval=_numbers("prediction_interval", d["prediction_interval"]),
-        descent=descent,
-    )
-    for key, kind in (("predictor_kind", str), ("variant", str), ("gamma", float),
-                      ("marginal_mode", str), ("replicates", int), ("seed", int),
-                      ("warm_start", bool), ("init_strategy", str), ("init_count", int),
-                      ("wasserstein_raw", bool)):
-        if key in d:
-            kwargs[key] = _checked(key, d[key], kind)
-    for key, kind in (("marginal_family", str), ("max_rows", int)):
-        if d.get(key) is not None:
-            kwargs[key] = _checked(key, d[key], kind)
+    kwargs = {}
+    for f in fields(ExperimentSpec):
+        if f.name in d and not (d[f.name] is None and f.default is None):
+            kwargs[f.name] = _read(f.name, d[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f.name, "missing required key")
     return ExperimentSpec(**kwargs)
 
 

@@ -153,6 +153,32 @@ def test_spec_from_dict_rejects_descent_value_out_of_range_by_key():
     assert spec_from_dict(d).descent.a == 10.0
 
 
+def test_spec_types_name_every_field_once():
+    from dataclasses import fields
+
+    assert list(tailcast.harness._SPEC_TYPES) == [f.name for f in fields(ExperimentSpec)]
+
+
+@pytest.mark.parametrize("key", ["name", "process", "h", "window", "forecast_offsets",
+                                 "prediction_interval"])
+def test_spec_from_dict_missing_required_key_named(key):
+    d = spec_to_dict(tiny_gauss_spec())
+    del d[key]
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict(d)
+    assert err.value.key == key
+
+
+def test_spec_from_dict_null_only_where_the_default_is_null():
+    d = spec_to_dict(tiny_gauss_spec(max_rows=50, marginal_family="gaussian"))
+    spec = spec_from_dict({**d, "max_rows": None, "marginal_family": None})
+    assert spec.max_rows is None and spec.marginal_family is None
+    for key in ("gamma", "seed", "descent", "window"):
+        with pytest.raises(ConfigError) as err:
+            spec_from_dict({**d, key: None})
+        assert err.value.key == key
+
+
 def test_spec_from_dict_missing_required_key():
     d = spec_to_dict(tiny_gauss_spec())
     del d["window"]
