@@ -276,12 +276,16 @@ def from_json(obj: dict) -> Marginal:
     return cls(**obj.get("params", {}))
 
 
+# fewest observations ``estimate`` fits a family to
+_MIN_OBSERVATIONS = 50
+
+
 def _prepared(data):
     data = np.asarray(data, dtype=float).ravel()
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput("data contains non-finite values")
-    if data.size < 50:
-        raise InsufficientData(f"need at least 50 observations, got {data.size}")
+    if data.size < _MIN_OBSERVATIONS:
+        raise InsufficientData(f"need at least {_MIN_OBSERVATIONS} observations, got {data.size}")
     if np.all(data == data[0]):
         raise DegenerateData("all observations identical")
     return data

@@ -27,7 +27,7 @@ import numpy as np
 from . import distributions
 from .csvio import write_csv
 from .distributions import Gaussian, Marginal
-from .errors import ConfigError, DivergedToNonFinite, DomainError
+from .errors import ConfigError, DivergedToNonFinite, DomainError, GridMisaligned
 from .metrics import wasserstein2_samples
 from .objective import (
     PREDICTOR_KINDS,
@@ -35,6 +35,7 @@ from .objective import (
     ForecastDesign,
     ObjectiveSpec,
     Predictor,
+    _aligned_index,
     centered_objective,
     extract_learning_samples,
     objective_value,
@@ -80,6 +81,16 @@ def _lattice(t: float, h: float) -> int:
 
 def _time_of(k: int, h: float) -> float:
     return round(k * h, 9)
+
+
+def _on_lattice(key, times, h) -> list:
+    """Lattice indices of ``times``, each of which must be a multiple of h."""
+    try:
+        return [_aligned_index(t, h, "t") for t in times]
+    except GridMisaligned as exc:
+        raise ConfigError(key, str(exc)) from None
+    except OverflowError:  # t / h beyond the float range
+        raise ConfigError(key, f"lies beyond the float range of multiples of h={h}") from None
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,27 @@ class ExperimentSpec:
         if not offsets or not np.all(np.isfinite(offsets)):
             raise ConfigError("forecast_offsets", "must be a non-empty list of finite numbers")
         object.__setattr__(self, "forecast_offsets", offsets)
+        if self.marginal_family is not None and self.marginal_family not in distributions._FAMILIES:
+            raise ConfigError("marginal_family", f"must be one of {tuple(distributions._FAMILIES)}")
+        self._check_geometry()
+
+    def _check_geometry(self):
+        """Every time on the h lattice, a learning row for every fitted point,
+        and enough window points to estimate the marginal: what ``run_fit``
+        would otherwise find out after simulating. Lattice indices are exact
+        integers, so no window is too long to check."""
+        offsets = _on_lattice("forecast_offsets", self.forecast_offsets, self.h)
+        g_lo, g_hi = _on_lattice("prediction_interval", self.prediction_interval, self.h)
+        w_lo, w_hi = _on_lattice("window", self.window, self.h)
+        span = max(offsets + [g_hi]) - min(offsets + [g_lo])
+        if w_hi - w_lo < span:
+            raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points, but the forecast "
+                                        f"sample and prediction points span {span + 1}, so some "
+                                        "point has no learning rows")
+        need = distributions._MIN_OBSERVATIONS
+        if self.marginal_mode == "estimated" and w_hi - w_lo + 1 < need:
+            raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points; estimating "
+                                        f"the marginal needs at least {need}")
 
     # --- derived geometry -------------------------------------------------
     @property

@@ -187,6 +187,34 @@ def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+@pytest.mark.parametrize("overrides, key", [
+    ({"marginal_family": "foo"}, "marginal_family"),
+    ({"forecast_offsets": [30.0, 30.05, 30.2]}, "forecast_offsets"),
+    ({"window": [0.0, 0.0]}, "window"),  # one point: no learning rows
+    ({"window": [29.5, 29.9]}, "window"),  # 5 points for a design spanning 7
+    ({"window": [25.1, 29.9]}, "window"),  # 49 points: too few to estimate the marginal
+    ({"prediction_interval": [30.05, 30.6]}, "prediction_interval"),
+])
+def test_bad_ar3_geometry_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
+                                                               command, overrides, key):
+    import tailcast.harness
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "simulate", no_simulation)
+    from importlib import resources
+
+    cfg = json.loads(resources.files("tailcast").joinpath("presets/ar3.json").read_text())
+    path = tmp_path / "ar3.json"
+    path.write_text(json.dumps({**cfg, **overrides}))
+    out = tmp_path / "o"
+    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_code_before_simulating(tmp_path, capsys, threads):
     cfg = tiny_config(tmp_path)

@@ -211,6 +211,10 @@ def test_spec_from_dict_defaults_apply():
     ("forecast_offsets", [float("inf")]), ("forecast_offsets", "x"),
     ("prediction_interval", "ab"), ("prediction_interval", [10.3, float("nan")]),
     ("name", [1, 2]), ("marginal_family", 3), ("seed", 2**64), ("h", 10**400),
+    # geometry: every time on the h lattice, learning rows for every fitted point
+    ("marginal_family", "foo"), ("forecast_offsets", [10.0, 10.05, 10.2]),
+    ("window", [0.0, 0.0]), ("window", [0.05, 9.9]), ("window", [0.0, 0.4]),
+    ("prediction_interval", [10.35, 10.5]), ("prediction_interval", [10.3, 10.55]),
 ])
 def test_spec_from_dict_rejects_bad_value_by_key(key, value):
     d = spec_to_dict(tiny_gauss_spec())
@@ -218,6 +222,36 @@ def test_spec_from_dict_rejects_bad_value_by_key(key, value):
     with pytest.raises(ConfigError) as err:
         spec_from_dict(d)
     assert err.value.key == key
+
+
+def test_spec_window_holds_the_design_span_exactly():
+    """The tiny design spans lattice points 100..105: a window of 6 points
+    gives the farthest fitted point one learning row, 5 points give none."""
+    spec = tiny_gauss_spec(window=(0.0, 0.5), descent=DescentConfig(mode="online", max_iter=5))
+    assert sorted(run_fit(spec).fits) == spec.fitted_indices
+    with pytest.raises(ConfigError) as err:
+        tiny_gauss_spec(window=(0.0, 0.4))
+    assert err.value.key == "window"
+
+
+@pytest.mark.parametrize("key", ["forecast_offsets", "prediction_interval", "window"])
+def test_spec_time_beyond_the_lattice_range_named(key):
+    """t / h overflows a float at h = 1e-10 for t = 1e300."""
+    spec = tiny_gauss_spec(h=1e-10)
+    with pytest.raises(ConfigError) as err:
+        tiny_gauss_spec(h=1e-10, **{key: (getattr(spec, key)[0], 1e300)})
+    assert err.value.key == key
+
+
+def test_spec_window_holds_enough_points_to_estimate_the_marginal():
+    estimated = dict(marginal_mode="estimated", marginal_family="gaussian",
+                     descent=DescentConfig(mode="online", max_iter=5))
+    spec = tiny_gauss_spec(window=(0.0, 4.9), **estimated)  # 50 points
+    assert sorted(run_fit(spec).fits) == spec.fitted_indices
+    with pytest.raises(ConfigError) as err:
+        tiny_gauss_spec(window=(0.0, 4.8), **estimated)
+    assert err.value.key == "window"
+    tiny_gauss_spec(window=(0.0, 4.8))  # a known marginal needs no such window
 
 
 AR3 = {"kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
