@@ -68,7 +68,6 @@ def _write_manifest(out_dir: str, spec, command: str) -> None:
 def _cmd_simulate(args) -> int:
     spec = _apply_overrides(_load_config(args.config), args)
     traj = harness._simulate_training(spec)
-    os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
     _write_manifest(args.out, spec, "simulate")
     print(f"wrote {os.path.join(args.out, 'trajectory.csv')} ({traj.values.size} points)")
@@ -78,7 +77,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     spec = _apply_overrides(_load_config(args.config), args)
     fits = harness.run_fit(spec)
-    os.makedirs(args.out, exist_ok=True)
     harness.write_weights_csv(os.path.join(args.out, "weights.csv"), fits)
     _write_manifest(args.out, spec, "fit")
     print(f"fitted {len(fits.fits)} points x {len(spec.methods)} methods -> "
@@ -92,7 +90,6 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError("threads", "must be >= 1")
     fits = harness.run_fit(spec)
     report = harness.run_eval(spec, fits, threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
     harness.write_weights_csv(os.path.join(args.out, "weights.csv"), fits)
     harness.write_eval_csv(os.path.join(args.out, "eval.csv"), report)
     _write_manifest(args.out, spec, "evaluate")
@@ -106,7 +103,6 @@ def _cmd_benchmark(args) -> int:
     seconds = harness.run_table1_benchmark(spec)
     print(f"seconds_per_solve={seconds:.3f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         from .csvio import write_csv
 
         write_csv(os.path.join(args.out, "benchmark.csv"),

@@ -60,10 +60,6 @@ class Marginal:
 
     family = "base"
 
-    def support(self):
-        """Open interval (lo, hi) on which the cdf is strictly increasing."""
-        return (-np.inf, np.inf)
-
     def _dispatch(self, impl, x):
         scalar = x.ndim == 0
         out = impl(np.atleast_1d(x))
@@ -170,9 +166,6 @@ class Levy(Marginal):
             raise NonFiniteInput("parameters must be finite")
         if self.c <= 0:
             raise DomainError("c must be positive")
-
-    def support(self):
-        return (0.0, np.inf)
 
     def _cdf(self, x):
         out = np.zeros_like(x)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from .errors import (
     NonFiniteInput,
 )
 from .processes import Trajectory
-from .rng import RngStream, as_generator
+from .rng import as_generator
 
 __all__ = [
     "ForecastDesign",
@@ -219,12 +218,11 @@ class Predictor:
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Functional variant, penalty strength, marginal law, bootstrap stream."""
+    """Functional variant, penalty strength and marginal law."""
 
     variant: str
     marginal: Marginal
     gamma: float = 0.0
-    bootstrap: Optional[RngStream] = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -277,15 +275,11 @@ def _row_indices(spec, samples, j, bootstrap_index):
     return j, b
 
 
-def _bootstrap_rows(spec, rng, count):
-    """One bootstrap resample of the row indices, drawn from rng or spec.bootstrap."""
-    if rng is not None:
-        g = as_generator(rng)
-    elif spec.bootstrap is not None:
-        g = spec.bootstrap.generator()
-    else:
-        raise MissingBootstrap("Q3 evaluation needs an rng or ObjectiveSpec.bootstrap to be set")
-    return g.integers(0, count, size=count)
+def _bootstrap_rows(rng, count):
+    """One bootstrap resample of the row indices, drawn from rng."""
+    if rng is None:
+        raise MissingBootstrap("Q3 evaluation needs an rng")
+    return as_generator(rng).integers(0, count, size=count)
 
 
 def _row_block(spec, p, samples, *parts):
@@ -373,7 +367,7 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
     """Mean of the per-row functional over all N rows.
 
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
-    from ``rng`` if given, else from ``spec.bootstrap``.
+    from ``rng``.
     """
     F = spec.marginal.cdf
     ghat = p.values(samples.X)
@@ -382,7 +376,7 @@ def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples,
     if spec.variant == "Q2":
         return float(np.mean(q2))
     if spec.variant == "Q3":
-        yb = fg[_bootstrap_rows(spec, rng, samples.count)]
+        yb = fg[_bootstrap_rows(rng, samples.count)]
         return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
     # Q4 mean via the sorted identity:
     # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
@@ -443,7 +437,7 @@ def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples
     N = samples.count
     fg = spec.marginal.cdf(ghat)
     if spec.variant == "Q3":
-        idx = _bootstrap_rows(spec, rng, N)
+        idx = _bootstrap_rows(rng, N)
         gb = ghat[idx]
         coeff = coeff + spec.gamma * (2.0 * fg - (gb < ghat)) * pg
         cross = -spec.gamma * (gb >= ghat) * pg[idx]
