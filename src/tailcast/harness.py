@@ -151,21 +151,16 @@ class ExperimentSpec:
         object.__setattr__(self, "forecast_offsets", offsets)
         if self.marginal_family is not None and self.marginal_family not in distributions._FAMILIES:
             raise ConfigError("marginal_family", f"must be one of {tuple(distributions._FAMILIES)}")
-        self._check_geometry()
-
-    def _check_geometry(self):
-        """Every time on the h lattice, a learning row for every fitted point,
-        and enough window points to estimate the marginal: what ``run_fit``
-        would otherwise find out after simulating. Lattice indices are exact
-        integers, so no window is too long to check."""
-        offsets = _on_lattice("forecast_offsets", self.forecast_offsets, self.h)
+        # the geometry run_fit would otherwise trip over after simulating, in
+        # exact integer lattice indices, so that no window is too long to check
+        offsets = _on_lattice("forecast_offsets", offsets, self.h)
         g_lo, g_hi = _on_lattice("prediction_interval", self.prediction_interval, self.h)
         w_lo, w_hi = _on_lattice("window", self.window, self.h)
         span = max(offsets + [g_hi]) - min(offsets + [g_lo])
         if w_hi - w_lo < span:
-            raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points, but the forecast "
-                                        f"sample and prediction points span {span + 1}, so some "
-                                        "point has no learning rows")
+            raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points, fewer than the "
+                                        f"{span + 1} from the first to the last forecast sample "
+                                        "or prediction point, so some point has no learning rows")
         need = distributions._MIN_OBSERVATIONS
         if self.marginal_mode == "estimated" and w_hi - w_lo + 1 < need:
             raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points; estimating "

@@ -171,46 +171,26 @@ def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypa
     ({"prediction_interval": "ab"}, "prediction_interval"),
     ({"name": [1, 2]}, "name"), ({"marginal_family": 3}, "marginal_family"),
     ({"seed": 2**64}, "seed"),
+    # geometry
+    ({"marginal_family": "foo"}, "marginal_family"),
+    ({"forecast_offsets": [10.0, 10.05, 10.2]}, "forecast_offsets"),
+    ({"prediction_interval": [10.35, 10.4]}, "prediction_interval"),
+    ({"window": [0.0, 0.0]}, "window"),  # one point: no learning rows
+    ({"window": [0.0, 0.3]}, "window"),  # 4 points for a design spanning 5
+    ({"marginal_mode": "estimated", "marginal_family": "gaussian", "window": [0.0, 4.8]},
+     "window"),  # 49 points: too few to estimate the marginal
 ])
 def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
                                                           command, overrides, key):
-    import tailcast.harness
-
-    def no_simulation(spec):
-        raise AssertionError("simulated before the config was checked")
-
-    monkeypatch.setattr(tailcast.harness, "_simulate_training", no_simulation)
-    cfg = tiny_config(tmp_path, **overrides)
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["fit", "evaluate"])
-@pytest.mark.parametrize("overrides, key", [
-    ({"marginal_family": "foo"}, "marginal_family"),
-    ({"forecast_offsets": [30.0, 30.05, 30.2]}, "forecast_offsets"),
-    ({"window": [0.0, 0.0]}, "window"),  # one point: no learning rows
-    ({"window": [29.5, 29.9]}, "window"),  # 5 points for a design spanning 7
-    ({"window": [25.1, 29.9]}, "window"),  # 49 points: too few to estimate the marginal
-    ({"prediction_interval": [30.05, 30.6]}, "prediction_interval"),
-])
-def test_bad_ar3_geometry_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
-                                                               command, overrides, key):
     import tailcast.harness
 
     def no_simulation(*args):
         raise AssertionError("simulated before the config was checked")
 
     monkeypatch.setattr(tailcast.harness, "simulate", no_simulation)
-    from importlib import resources
-
-    cfg = json.loads(resources.files("tailcast").joinpath("presets/ar3.json").read_text())
-    path = tmp_path / "ar3.json"
-    path.write_text(json.dumps({**cfg, **overrides}))
+    cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "o"
-    assert run([command, "--config", str(path), "--out", str(out)]) == 2
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
 

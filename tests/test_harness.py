@@ -159,16 +159,6 @@ def test_spec_types_name_every_field_once():
     assert list(tailcast.harness._SPEC_TYPES) == [f.name for f in fields(ExperimentSpec)]
 
 
-@pytest.mark.parametrize("key", ["name", "process", "h", "window", "forecast_offsets",
-                                 "prediction_interval"])
-def test_spec_from_dict_missing_required_key_named(key):
-    d = spec_to_dict(tiny_gauss_spec())
-    del d[key]
-    with pytest.raises(ConfigError) as err:
-        spec_from_dict(d)
-    assert err.value.key == key
-
-
 def test_spec_from_dict_null_only_where_the_default_is_null():
     d = spec_to_dict(tiny_gauss_spec(max_rows=50, marginal_family="gaussian"))
     spec = spec_from_dict({**d, "max_rows": None, "marginal_family": None})
@@ -180,11 +170,12 @@ def test_spec_from_dict_null_only_where_the_default_is_null():
 
 
 def test_spec_from_dict_missing_required_key():
-    d = spec_to_dict(tiny_gauss_spec())
-    del d["window"]
-    with pytest.raises(ConfigError) as err:
-        spec_from_dict(d)
-    assert "window" in str(err.value)
+    for key in ("name", "process", "h", "window", "forecast_offsets", "prediction_interval"):
+        d = spec_to_dict(tiny_gauss_spec())
+        del d[key]
+        with pytest.raises(ConfigError) as err:
+            spec_from_dict(d)
+        assert err.value.key == key
 
 
 def test_spec_from_dict_defaults_apply():
