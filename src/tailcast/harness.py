@@ -537,9 +537,12 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: int = 1) -> EvalRe
 
 def run_table1_benchmark(spec: ExperimentSpec) -> float:
     """Wall-clock seconds for one online solve at the first prediction point."""
+    if not spec.fitted_indices:
+        raise ConfigError("prediction_interval", "holds no point outside the forecast sample, "
+                                                 "so there is no solve to time")
+    k = spec.fitted_indices[0]
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
-    k = spec.fitted_indices[0]
     design = ForecastDesign(spec.forecast_offsets, _time_of(k, spec.h), spec.h, spec.window)
     samples = extract_learning_samples(
         traj, design, max_n=spec.max_rows, rng=RngStream(spec.seed, STREAM_SUBSAMPLE).generator(k))

@@ -27,6 +27,12 @@ The Q4 row and every mean subgradient read their rows from one row block
 The row and mean forms stay separate formulas even so: each keeps the order
 of floating-point operations that the pinned artifact digests were recorded
 with, and merging them would change those bytes.
+
+The mean functional itself, which scores the starting candidates and every
+trace record, is ``ObjectiveValues``: bound to one sample set, it computes
+F(y) once and gets F(y_j v g_j) as F(y_j) v F(g_j), the same bits since
+every marginal's cdf is monotone, so an evaluation runs one cdf pass, on
+the predictions. ``objective_value`` is its one-shot call.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ __all__ = [
     "Predictor",
     "ObjectiveSpec",
     "extract_learning_samples",
+    "ObjectiveValues",
     "objective_value",
     "RowSubgradients",
     "subgradient",
@@ -363,27 +370,54 @@ class RowSubgradients:
         return M[:K]
 
 
+class ObjectiveValues:
+    """The mean functional of ``spec`` on one sample set, F(y) computed once.
+
+    A call ``(p, rng=None)`` returns the mean of the per-row functional over
+    all N rows at predictor p; Q3 consumes one bootstrap resample of the N
+    rows per call, drawn from ``rng``. F(y) is computed at construction
+    with the unchecked ``_cdf`` (``LearningSamples`` holds finite values
+    only), and each call finds the Q2 term from
+
+        F(y_j v g_j) = F(y_j) v F(g_j),
+
+    which holds bit for bit because every marginal's ``_cdf`` is monotone
+    in floating point (guarded by tests). So a call runs one N-element cdf,
+    on the predictions; a non-finite prediction raises ``NonFiniteInput``.
+    """
+
+    def __init__(self, spec: ObjectiveSpec, samples: LearningSamples):
+        self.spec, self.samples = spec, samples
+        self.cdf = spec.marginal._cdf
+        self.fy = self.cdf(samples.y)
+
+    def __call__(self, p: Predictor, rng=None) -> float:
+        spec, samples = self.spec, self.samples
+        ghat = p.values(samples.X)
+        if not np.isfinite(ghat).all():
+            raise NonFiniteInput("x contains non-finite values")
+        fg = self.cdf(ghat)
+        q2 = 2.0 * np.maximum(self.fy, fg) - fg
+        if spec.variant == "Q2":
+            return float(np.mean(q2))
+        if spec.variant == "Q3":
+            yb = fg[_bootstrap_rows(rng, samples.count)]
+            return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
+        # Q4 mean via the sorted identity:
+        # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
+        n = samples.count
+        fs = np.sort(fg)
+        run_total = float(np.sum((2.0 * np.arange(1, n + 1) - 1.0) * fs))
+        return float(np.mean(q2) + spec.gamma * np.mean(fg * fg) - spec.gamma / (n * n) * run_total)
+
+
 def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> float:
-    """Mean of the per-row functional over all N rows.
+    """Mean of the per-row functional over all N rows: one ``ObjectiveValues`` call.
 
     Q3 consumes one bootstrap resample of the N rows per evaluation, drawn
     from ``rng``.
     """
-    F = spec.marginal.cdf
-    ghat = p.values(samples.X)
-    fg = F(ghat)
-    q2 = 2.0 * F(np.maximum(samples.y, ghat)) - fg
-    if spec.variant == "Q2":
-        return float(np.mean(q2))
-    if spec.variant == "Q3":
-        yb = fg[_bootstrap_rows(rng, samples.count)]
-        return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
-    # Q4 mean via the sorted identity:
-    # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
-    n = samples.count
-    fs = np.sort(fg)
-    run_total = float(np.sum((2.0 * np.arange(1, n + 1) - 1.0) * fs))
-    return float(np.mean(q2) + spec.gamma * np.mean(fg * fg) - spec.gamma / (n * n) * run_total)
+    return ObjectiveValues(spec, samples)(p, rng)
 
 
 def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, bootstrap_index=None) -> np.ndarray:

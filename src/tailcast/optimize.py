@@ -13,9 +13,11 @@ runs it on one chain of a ``DescentProblem`` (value / row_grad / mean_grad
 callables), so it can be exercised on analytic objectives.
 ``solve_lockstep`` runs several online Q2/Q3 solves on the same rows
 through it, one packed ``RowSubgradients`` call per step, with the results
-``descend`` gives each alone. ``solve`` wires in the statistical
-functionals from :mod:`tailcast.objective`: online Q2/Q3 go to
-``solve_lockstep``, batch mode and Q4 to ``descend``.
+``descend`` gives each alone; each chain draws the rows of one trace stride
+in one generator call. ``solve`` wires in the statistical functionals from
+:mod:`tailcast.objective`: online Q2/Q3 go to ``solve_lockstep``, batch
+mode and Q4 to ``descend``. Traces and starting candidates are scored by an
+``ObjectiveValues`` bound to the sample set, which computes F(y) once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergedToNonFinite, DomainError, NonFiniteInput
-from .objective import (
+from .objective import (  # noqa: F401  objective_value: perfbench/spans.py wraps it here
     LearningSamples,
     ObjectiveSpec,
+    ObjectiveValues,
     Predictor,
     RowSubgradients,
     mean_subgradient,
@@ -54,6 +57,7 @@ MODES = ("batch", "online")
 COLD_STARTS = ("unit", "simplex")  # init strategies that need no previous solution
 SELECTIONS = ("last", "polyak", "best")
 CONSTRAINTS = ("unconstrained", "nonneg", "ball")
+_BLOCK_STEPS = 1024  # most steps whose rows a lockstep chain draws ahead
 
 
 @dataclass(frozen=True)
@@ -145,16 +149,13 @@ def project(constraint: str, lam, radius: float = 1.0) -> np.ndarray:
 
 
 def _spec_problem(spec: ObjectiveSpec, samples: LearningSamples) -> DescentProblem:
-    def value(p, rng):
-        return objective_value(spec, p, samples, rng=rng)
-
     def row_grad(p, j, rng):
         return subgradient(spec, p, samples, j)
 
     def mean_grad(p, rng):
         return mean_subgradient(spec, p, samples, rng=rng)
 
-    return DescentProblem(samples.count, value, row_grad, mean_grad)
+    return DescentProblem(samples.count, ObjectiveValues(spec, samples), row_grad, mean_grad)
 
 
 def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str,
@@ -177,11 +178,11 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
         cands = [np.asarray(warm, dtype=float).copy()] + [np.eye(n)[j] for j in range(n)]
     else:
         raise DomainError(f"strategy must be one of {COLD_STARTS + ('warm',)}")
+    value = ObjectiveValues(spec, samples)
     g_eval = as_generator(rng) if rng is not None else None
     scored = []
     for w in cands:
-        val = objective_value(spec, Predictor(kind, w), samples, rng=g_eval)
-        scored.append((val, w))
+        scored.append((value(Predictor(kind, w), g_eval), w))
     scored.sort(key=lambda t: t[0])
     return [w for _, w in scored]
 
@@ -231,12 +232,12 @@ def _descend_chains(grads, values, starts, cfg: DescentConfig, gens) -> list:
     """The projected subgradient loop, stepping K chains together.
 
     Chain c starts from ``starts[c]`` and traces ``values[c](p, gens[c])``.
-    ``grads(W, active)`` returns the subgradients at the iterate rows W of
-    the running chains ``active`` (row i is chain ``active[i]``), each
-    drawing its rows from its own generator. A step takes one step size,
-    one update of W and one finiteness check; the projection, the ``tol``
-    stop, the trace and the selection are per chain, and a chain that stops
-    draws nothing more. Result c's ``seconds`` is the wall time until chain
+    ``grads(W, active, l)`` returns the step-``l`` subgradients at the
+    iterate rows W of the running chains ``active`` (row i is chain
+    ``active[i]``), each drawing its rows from its own generator. A step
+    takes one step size, one update of W and one finiteness check; the
+    projection, the ``tol`` stop, the trace and the selection are per chain,
+    and a chain that stops draws nothing more. Result c's ``seconds`` is the wall time until chain
     c stopped. An error raised for one chain carries its index in ``chain``.
     """
     t_start = time.perf_counter()
@@ -253,7 +254,7 @@ def _descend_chains(grads, values, starts, cfg: DescentConfig, gens) -> list:
         if polyak and l >= cfg.burn_in:
             avg_sum += W
             avg_count += 1
-        new = W - cfg.step(l) * grads(W, active)
+        new = W - cfg.step(l) * grads(W, active, l)
         if constrained:
             for i in range(len(active)):
                 new[i] = project(cfg.constraint, new[i], cfg.radius)
@@ -290,7 +291,7 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     """Run the projected subgradient loop on an arbitrary problem."""
     g = as_generator(rng)
 
-    def grads(W, active):
+    def grads(W, active, l):
         p = p0.with_weights(W[0])
         if cfg.mode == "batch":
             return np.asarray(problem.mean_grad(p, g), dtype=float)
@@ -319,7 +320,12 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     ``subgradient`` bit for bit, ``seconds`` aside. Every chain draws its
     row j, and a Q3 chain then its bootstrap row b, from its own generator,
     and the subgradients of all running chains come from one
-    ``RowSubgradients`` call per step. The specs share one marginal and the
+    ``RowSubgradients`` call per step. A chain draws the rows of every step
+    up to its next trace record (at most ``_BLOCK_STEPS`` steps) in one
+    ``integers(0, N, size=...)`` call, j, b, j, b, ... for Q3: a block draw
+    gives the values, and leaves the generator state, of as many scalar
+    draws. Under ``tol > 0`` a chain may stop, and trace, after any step,
+    so the block is one step long. The specs share one marginal and the
     starts one form. An error raised for one chain carries its index in
     ``chain``.
     """
@@ -331,21 +337,29 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
         raise DomainError("lockstep chains must share the predictor form")
     kernel, packed = RowSubgradients(specs, samples, starts[0]), list(range(len(specs)))
     gens = [as_generator(r) for r in rngs]
+    draws = [2 if spec.variant == "Q3" else 1 for spec in specs]  # rows per step
+    rows, left = {}, 0  # each running chain's drawn rows; steps they still cover
 
-    def grads(W, active):
-        nonlocal kernel, packed
+    def grads(W, active, l):
+        nonlocal kernel, packed, rows, left
         if active != packed:  # a chain stopped: pack the rest
             kernel = RowSubgradients([specs[c] for c in active], samples, starts[0])
             packed = active
-        js = [int(gens[c].integers(0, samples.count)) for c in active]
-        bs = [int(gens[c].integers(0, samples.count)) for c in active if specs[c].variant == "Q3"]
+        if not left:
+            left = 1 if cfg.tol > 0 else min(cfg.trace_stride - l % cfg.trace_stride,
+                                             cfg.max_iter - l, _BLOCK_STEPS)
+            rows = {c: iter(gens[c].integers(0, samples.count, size=left * draws[c]).tolist())
+                    for c in active}
+        left -= 1
+        js = [next(rows[c]) for c in active]
+        bs = [next(rows[c]) for c in active if draws[c] == 2]
         try:
             return kernel(W, js, bs)
         except NonFiniteInput as exc:
             exc.chain = active[exc.chain]
             raise
 
-    values = [_spec_problem(spec, samples).value for spec in specs]
+    values = [ObjectiveValues(spec, samples) for spec in specs]
     return _descend_chains(grads, values, starts, cfg, gens)
 
 

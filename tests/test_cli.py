@@ -112,6 +112,26 @@ def test_benchmark_prints_seconds(tmp_path, capsys):
     assert lines[1].startswith("tiny-cli,")
 
 
+def test_benchmark_without_a_fitted_point_exit_code_before_simulating(tmp_path, capsys,
+                                                                      monkeypatch):
+    """Every prediction point is a forecast offset: ``fit`` fits 0 points,
+    and ``benchmark`` has no solve to time."""
+    import tailcast.harness
+    from tailcast.cli import _load_config
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "simulate", no_simulation)
+    cfg = tmp_path / "ar3.json"
+    cfg.write_text(json.dumps(dict(spec_to_dict(_load_config("ar3")),
+                                   prediction_interval=[30.0, 30.0])))
+    out = tmp_path / "o"
+    assert run(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'prediction_interval'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exit_code_and_message(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run(["fit", "--config", missing, "--out", str(tmp_path / "o")]) == 2

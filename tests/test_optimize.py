@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -320,23 +321,38 @@ MARGINALS = {"gauss": Gaussian(0.0, 1.0), "cauchy": Cauchy(0.0, 1.0), "levy": Le
              "student": StudentT(0.0, 1.0, 0.8)}
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 1000, 2950, 2**32 - 1, 2**32 + 1, 2**40])
+def test_block_draw_equals_scalar_draws(N):
+    """``integers(0, N, size=k)`` gives the values of k scalar
+    ``integers(0, N)`` calls and leaves the generator where they leave it,
+    which lets the lockstep engine draw a trace stride's rows in one call."""
+    for k in (1, 2, 7, 20, 61):
+        block, scalar = RngStream(9, k).generator(), RngStream(9, k).generator()
+        got = block.integers(0, N, size=k).tolist()
+        assert got == [int(scalar.integers(0, N)) for _ in range(k)]
+        assert block.integers(0, N) == scalar.integers(0, N)
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+
 @pytest.mark.parametrize("marginal", sorted(MARGINALS))
 @pytest.mark.parametrize("kind", ["linear", "squared", "max"])
 def test_lockstep_bit_equal_to_descend_per_chain(kind, marginal):
-    """Oracle: each chain stepped alone by ``descend`` along ``subgradient``."""
+    """Oracle: each chain stepped alone by ``descend`` along ``subgradient``.
+    A stride of 7 cuts the last row block short of a stride, and 500 is
+    longer than the budget."""
     samples = lockstep_rows(seed=len(marginal) + len(kind))
     specs, starts = lockstep_chains(MARGINALS[marginal], kind)
-    for selection in ("last", "polyak", "best"):
-        for constraint in ("unconstrained", "nonneg", "ball"):
-            for tol in (0.0, 3e-3):
-                cfg = DescentConfig(mode="online", max_iter=60, tol=tol, selection=selection,
-                                    burn_in=20 if selection == "polyak" else 0,
-                                    constraint=constraint, radius=0.8, trace_stride=7)
-                want = [descend_oracle(spec, samples, p0, cfg, RngStream(3, c).generator())
-                        for c, (spec, p0) in enumerate(zip(specs, starts))]
-                got = solve_lockstep(specs, samples, starts, cfg,
-                                     [RngStream(3, c).generator() for c in range(3)])
-                assert_same_results(got, want)
+    for selection, constraint, tol, stride in itertools.product(
+            ("last", "polyak", "best"), ("unconstrained", "nonneg", "ball"), (0.0, 3e-3),
+            (1, 7, 500)):
+        cfg = DescentConfig(mode="online", max_iter=60, tol=tol, selection=selection,
+                            burn_in=20 if selection == "polyak" else 0,
+                            constraint=constraint, radius=0.8, trace_stride=stride)
+        want = [descend_oracle(spec, samples, p0, cfg, RngStream(3, c).generator())
+                for c, (spec, p0) in enumerate(zip(specs, starts))]
+        got = solve_lockstep(specs, samples, starts, cfg,
+                             [RngStream(3, c).generator() for c in range(3)])
+        assert_same_results(got, want)
 
 
 def test_lockstep_chains_stop_at_different_steps():
