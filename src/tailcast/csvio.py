@@ -1,4 +1,4 @@
-"""CSV writing/reading with a fixed float format.
+"""CSV writing with a fixed float format.
 
 Floats are written with 17 significant digits so values round-trip exactly
 and files are byte-identical across runs of the same build.
@@ -23,11 +23,3 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def read_csv(path):
-    """Return (header list, list of string-cell rows)."""
-    with open(path, "r") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]

@@ -35,7 +35,6 @@ from .objective import (
     ForecastDesign,
     ObjectiveSpec,
     Predictor,
-    _aligned_index,
     centered_objective,
     extract_learning_samples,
     objective_value,
@@ -47,6 +46,7 @@ from .processes import (
     ProcessSpec,
     StableMovingAverage,
     Trajectory,
+    _aligned_index,
     simulate,
 )
 from .baselines import covariances_exp, exact_excursion_weights, simple_kriging_weights
@@ -75,22 +75,17 @@ STREAM_SUBSAMPLE = 3
 METHOD_ORDER = ("unconstrained", "penalized", "kriging", "exact")
 
 
-def _lattice(t: float, h: float) -> int:
-    return int(round(t / h))
-
-
 def _time_of(k: int, h: float) -> float:
     return round(k * h, 9)
 
 
 def _on_lattice(key, times, h) -> list:
-    """Lattice indices of ``times``, each of which must be a multiple of h."""
+    """Lattice indices of ``times``, the value of config key ``key``; a time
+    off the lattice raises ConfigError naming ``key``."""
     try:
         return [_aligned_index(t, h, "t") for t in times]
     except GridMisaligned as exc:
         raise ConfigError(key, str(exc)) from None
-    except OverflowError:  # t / h beyond the float range
-        raise ConfigError(key, f"lies beyond the float range of multiples of h={h}") from None
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,7 @@ class ExperimentSpec:
             raise ConfigError("marginal_family", f"must be one of {tuple(distributions._FAMILIES)}")
         # the geometry run_fit would otherwise trip over after simulating, in
         # exact integer lattice indices, so that no window is too long to check
-        offsets = _on_lattice("forecast_offsets", offsets, self.h)
+        offsets = self.offset_indices
         g_lo, g_hi = _on_lattice("prediction_interval", self.prediction_interval, self.h)
         w_lo, w_hi = _on_lattice("window", self.window, self.h)
         span = max(offsets + [g_hi]) - min(offsets + [g_lo])
@@ -169,12 +164,12 @@ class ExperimentSpec:
     # --- derived geometry -------------------------------------------------
     @property
     def offset_indices(self) -> list:
-        return [_lattice(v, self.h) for v in self.forecast_offsets]
+        return _on_lattice("forecast_offsets", self.forecast_offsets, self.h)
 
     @property
     def grid_indices(self) -> list:
-        lo, hi = self.prediction_interval
-        return list(range(_lattice(lo, self.h), _lattice(hi, self.h) + 1))
+        lo, hi = _on_lattice("prediction_interval", self.prediction_interval, self.h)
+        return list(range(lo, hi + 1))
 
     @property
     def fitted_indices(self) -> list:
@@ -347,7 +342,7 @@ class FitResults:
     fits: dict  # lattice index -> method -> PointFit
 
     def by_time(self, t: float) -> dict:
-        return self.fits[_lattice(t, self.spec.h)]
+        return self.fits[_aligned_index(t, self.spec.h, "t")]
 
 
 def known_marginal(process: ProcessSpec) -> Marginal:
@@ -360,9 +355,20 @@ def known_marginal(process: ProcessSpec) -> Marginal:
 
 def _simulate_training(spec: ExperimentSpec) -> Trajectory:
     rng = RngStream(spec.seed, STREAM_TRAIN).generator()
-    w_lo, w_hi = spec.window
-    length = _lattice(w_hi, spec.h) - _lattice(w_lo, spec.h) + 1
-    return simulate(spec.process, _time_of(_lattice(w_lo, spec.h), spec.h), spec.h, length, rng)
+    w_lo, w_hi = _on_lattice("window", spec.window, spec.h)
+    return simulate(spec.process, _time_of(w_lo, spec.h), spec.h, w_hi - w_lo + 1, rng)
+
+
+def _point_problem(spec: ExperimentSpec, traj: Trajectory, k: int):
+    """The design and learning rows of prediction point k: the target at
+    ``_time_of(k)``, at most ``max_rows`` rows subsampled by the stream keyed
+    by k. It calls ``extract_learning_samples`` through this module's
+    global, the name ``perfbench/spans.py`` wraps."""
+    design = ForecastDesign(spec.forecast_offsets, _time_of(k, spec.h), spec.h, spec.window)
+    samples = extract_learning_samples(
+        traj, design, max_n=spec.max_rows,
+        rng=RngStream(spec.seed, STREAM_SUBSAMPLE).generator(k))
+    return design, samples
 
 
 def _fit_marginal(spec: ExperimentSpec, traj: Trajectory) -> Marginal:
@@ -401,7 +407,6 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
     fit_stream = RngStream(spec.seed, STREAM_FIT)
-    sub_stream = RngStream(spec.seed, STREAM_SUBSAMPLE)
     obj_specs = _objective_specs(spec, marginal)
     solver_methods = list(obj_specs)
     lockstep = spec.descent.mode == "online" and all(
@@ -412,9 +417,7 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
     prev = {}
     for k in spec.fitted_indices:
         t = _time_of(k, spec.h)
-        design = ForecastDesign(spec.forecast_offsets, t, spec.h, spec.window)
-        samples = extract_learning_samples(
-            traj, design, max_n=spec.max_rows, rng=sub_stream.generator(k))
+        design, samples = _point_problem(spec, traj, k)
         starts = []
         for mi, method in enumerate(solver_methods):
             strategy = "warm" if (spec.warm_start and method in prev) else spec.init_strategy
@@ -543,9 +546,7 @@ def run_table1_benchmark(spec: ExperimentSpec) -> float:
     k = spec.fitted_indices[0]
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
-    design = ForecastDesign(spec.forecast_offsets, _time_of(k, spec.h), spec.h, spec.window)
-    samples = extract_learning_samples(
-        traj, design, max_n=spec.max_rows, rng=RngStream(spec.seed, STREAM_SUBSAMPLE).generator(k))
+    _, samples = _point_problem(spec, traj, k)
     ospec = ObjectiveSpec("Q2", marginal)
     cands = init_candidates(samples, ospec, "unit", kind=spec.predictor_kind)
     p0 = Predictor(spec.predictor_kind, cands[0])

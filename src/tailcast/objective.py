@@ -45,7 +45,6 @@ import numpy as np
 from .distributions import Marginal
 from .errors import (
     DomainError,
-    GridMisaligned,
     IndexOutOfRange,
     InvalidGrid,
     LengthMismatch,
@@ -53,7 +52,7 @@ from .errors import (
     NoValidShifts,
     NonFiniteInput,
 )
-from .processes import Trajectory
+from .processes import Trajectory, _aligned_index
 from .rng import as_generator
 
 __all__ = [
@@ -74,17 +73,10 @@ PREDICTOR_KINDS = ("linear", "squared", "max")
 VARIANTS = ("Q2", "Q3", "Q4")
 
 
-def _aligned_index(value, h, what):
-    k = value / h
-    ki = round(k)
-    if abs(value - ki * h) > 1e-9:
-        raise GridMisaligned(f"{what}={value} is not a multiple of h={h}")
-    return int(ki)
-
-
 @dataclass(frozen=True)
 class ForecastDesign:
-    """Forecast-sample offsets, target time, grid step, and observation window."""
+    """Forecast-sample offsets, target time, grid step, and observation window,
+    all absolute times on the lattice hZ."""
 
     offsets: tuple
     target: float
@@ -97,21 +89,17 @@ class ForecastDesign:
         off = tuple(float(v) for v in self.offsets)
         if len(off) < 1:
             raise InvalidGrid("need at least one forecast offset")
-        if any(not np.isfinite(v) for v in off) or not np.isfinite(self.target):
-            raise NonFiniteInput("offsets and target must be finite")
-        for v in off + (self.target,):
-            _aligned_index(v, self.h, "offset")
-        if any(abs(self.target - v) < self.h / 2 for v in off):
-            raise InvalidGrid("target must not belong to the forecast sample")
         w = (float(self.window[0]), float(self.window[1]))
-        if w[1] < w[0]:
+        if not np.all(np.isfinite(off + w + (self.target,))):
+            raise NonFiniteInput("offsets, target and window must be finite")
+        target = _aligned_index(self.target, self.h, "target")
+        if target in [_aligned_index(v, self.h, "offset") for v in off]:
+            raise InvalidGrid("target must not belong to the forecast sample")
+        w_lo, w_hi = (_aligned_index(v, self.h, "window") for v in w)
+        if w_hi < w_lo:
             raise InvalidGrid("window upper bound below lower bound")
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "window", w)
-
-    @property
-    def n(self) -> int:
-        return len(self.offsets)
 
 
 @dataclass(frozen=True)
@@ -211,16 +199,11 @@ class Predictor:
         ``values``, a matrix product over the whole block, does not.
         """
         w = self.weights
-        if self.kind == "linear":
-            return np.vecdot(X, w), X
-        if self.kind == "squared":
-            return np.vecdot(X, w * w), 2.0 * w * X
-        scaled = X * w
-        k = np.argmax(scaled, axis=1)  # ties -> lowest index
-        r = np.arange(X.shape[0])
-        G = np.zeros_like(X)
-        G[r, k] = X[r, k]
-        return scaled[r, k], G
+        if self.kind == "max":
+            g = np.max(X * w, axis=1)
+        else:
+            g = np.vecdot(X, w * w if self.kind == "squared" else w)
+        return g, self.jacobian(X)
 
 
 @dataclass(frozen=True)
@@ -247,13 +230,12 @@ def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=Non
     if abs(design.h - traj.h) > 1e-12:
         raise InvalidGrid(f"design step {design.h} differs from trajectory step {traj.h}")
     h = traj.h
-    # absolute times to lattice indices relative to traj.t0
-    pts = np.array([_aligned_index(v - traj.t0, h, "offset") for v in design.offsets + (design.target,)])
-    w_lo, w_hi = design.window
-    lo = max(0, int(np.ceil((w_lo - traj.t0) / h - 1e-9)))
-    hi = min(traj.values.size - 1, int(np.floor((w_hi - traj.t0) / h + 1e-9)))
-    kmin = lo - int(pts.min())
-    kmax = hi - int(pts.max())
+    # absolute lattice indices, then integer positions in the trajectory
+    t0 = _aligned_index(traj.t0, h, "t0")
+    pts = [_aligned_index(v, h, "offset") - t0 for v in design.offsets + (design.target,)]
+    w_lo, w_hi = (_aligned_index(v, h, "window") - t0 for v in design.window)
+    kmin = max(0, w_lo) - min(pts)
+    kmax = min(traj.values.size - 1, w_hi) - max(pts)
     if kmax < kmin:
         raise NoValidShifts("observation window shorter than the design span")
     ks = np.arange(kmin, kmax + 1)
@@ -262,9 +244,8 @@ def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=Non
             raise DomainError("max_n subsampling needs an rng")
         g = as_generator(rng)
         ks = np.sort(g.choice(ks, size=int(max_n), replace=False))
-    idx_f = pts[:-1]
     y = traj.values[pts[-1] + ks]
-    X = traj.values[idx_f[None, :] + ks[:, None]]
+    X = traj.values[np.array(pts[:-1])[None, :] + ks[:, None]]
     return LearningSamples(y, X, ks * h)
 
 

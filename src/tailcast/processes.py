@@ -1,24 +1,27 @@
 """Seedable simulators for the three stationary test processes.
 
-All output lands on a regular grid t0 + i*h as a Trajectory. The Gaussian
-process with covariance exp(-|t|/2) is Markov, so exact O(length) recursion
-replaces dense Cholesky. The stable moving averages ride on an integer
-innovation lattice convolved with a finite exponential kernel whose stable
-norm is exactly one, making the marginal law known in closed form. The
-autoregressive simulator is the generic recursion with pluggable innovation
-law and burn-in.
+All output lands on a regular grid t0 + i*h as a Trajectory. A time becomes
+an index of the lattice hZ in one place, ``_aligned_index``, and all index
+arithmetic after it is on integers. The Gaussian process with covariance
+exp(-|t|/2) is Markov, so exact O(length) recursion replaces dense
+Cholesky. The stable moving averages ride on an integer innovation lattice
+convolved with a finite exponential kernel whose stable norm is exactly
+one, making the marginal law known in closed form. The autoregressive
+simulator is the generic recursion with pluggable innovation law and
+burn-in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy import signal
 
-from .csvio import read_csv, write_csv
-from .distributions import Cauchy, Levy, Marginal, Gaussian
+from .csvio import write_csv
+from .distributions import Cauchy, Levy, Marginal
 from .errors import (
     DomainError,
     GridMisaligned,
@@ -40,20 +43,34 @@ __all__ = [
     "simulate_ar",
     "simulate",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 KERNEL_SUPPORT = 251  # taps at integer lags 0..250; both stable norms equal 1 exactly
 
 
+def _aligned_index(t, h, what) -> int:
+    """The index k of time t on the lattice hZ, the one time-to-index rule.
+
+    t must lie within 1e-9 of k*h, else GridMisaligned names it as ``what``.
+    The float k*h itself passes for every |k| up to far beyond 10**9, so
+    times built as k*h get their indices k however far from 0 they lie.
+    """
+    q = t / h
+    if not math.isfinite(q):
+        raise GridMisaligned(f"{what}={t} lies beyond the float range of multiples of h={h}")
+    k = round(q)
+    if abs(t - k * h) > 1e-9:
+        raise GridMisaligned(f"{what}={t} is not a multiple of h={h}")
+    return k
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Process values on the grid t0 + i*h with a declared marginal law."""
+    """Process values on the grid t0 + i*h."""
 
     t0: float
     h: float
     values: np.ndarray
-    marginal: Optional[Marginal] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.h)) or self.h <= 0:
@@ -70,21 +87,17 @@ class Trajectory:
         return self.t0 + self.h * np.arange(self.values.size)
 
     def index_of(self, t: float) -> int:
-        """Grid index of time t; GridMisaligned if t is off-lattice."""
-        k = (t - self.t0) / self.h
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9:
-            raise GridMisaligned(f"t={t} is not on the grid (t0={self.t0}, h={self.h})")
-        if not (0 <= ki < self.values.size):
+        """Grid index of time t; GridMisaligned if t or t0 is off the lattice
+        hZ, or t lies outside the trajectory."""
+        i = _aligned_index(t, self.h, "t") - _aligned_index(self.t0, self.h, "t0")
+        if not (0 <= i < self.values.size):
             raise GridMisaligned(f"t={t} outside the simulated window")
-        return ki
+        return i
 
 
 @dataclass(frozen=True)
 class GaussExpCov:
     """Stationary Gaussian process, N(0,1) marginal, covariance exp(-|t|/2)."""
-
-    kind = "gauss_exp_cov"
 
 
 @dataclass(frozen=True)
@@ -184,7 +197,7 @@ def simulate_gauss_exp_cov(t0, h, length, rng) -> Trajectory:
     innov = rng.standard_normal(length)
     innov[1:] *= np.sqrt(1.0 - r * r)
     values = signal.lfilter([1.0], [1.0, -r], innov)
-    return Trajectory(t0, h, values, Gaussian(0.0, 1.0))
+    return Trajectory(t0, h, values)
 
 
 def simulate_stable_ma(spec: StableMovingAverage, t0, h, length, rng) -> Trajectory:
@@ -195,12 +208,11 @@ def simulate_stable_ma(spec: StableMovingAverage, t0, h, length, rng) -> Traject
     single call yields genuinely dependent values across its whole window.
     """
     t0, h, length = _check_grid(t0, h, length)
-    if abs(t0 / h - round(t0 / h)) > 1e-9:
-        raise GridMisaligned(f"t0={t0} must sit on the lattice hZ (h={h})")
+    _aligned_index(t0, h, "t0")  # the innovation sites are integers
     taps = spec.kernel.size
     innov = spec.marginal.sample(length + taps - 1, rng)
     values = np.convolve(innov, spec.kernel, mode="valid")
-    return Trajectory(t0, h, values, spec.marginal)
+    return Trajectory(t0, h, values)
 
 
 def simulate_ar(spec: ArStudentT, t0, h, length, burn_in, rng) -> Trajectory:
@@ -212,33 +224,23 @@ def simulate_ar(spec: ArStudentT, t0, h, length, burn_in, rng) -> Trajectory:
     innov = spec.innovation.sample(burn_in + length, rng)
     a = np.concatenate([[1.0], -spec.lag_coeffs])
     values = signal.lfilter([1.0], a, innov)[burn_in:]
-    return Trajectory(t0, h, values, None)
+    return Trajectory(t0, h, values)
 
 
 DEFAULT_AR_BURN_IN = 10_000
 
 
-def simulate(spec: ProcessSpec, t0, h, length, rng, burn_in=DEFAULT_AR_BURN_IN) -> Trajectory:
-    """Dispatch on the process kind."""
+def simulate(spec: ProcessSpec, t0, h, length, rng) -> Trajectory:
+    """Dispatch on the process kind; an AR path drops DEFAULT_AR_BURN_IN steps."""
     if isinstance(spec, GaussExpCov):
         return simulate_gauss_exp_cov(t0, h, length, rng)
     if isinstance(spec, StableMovingAverage):
         return simulate_stable_ma(spec, t0, h, length, rng)
     if isinstance(spec, ArStudentT):
-        return simulate_ar(spec, t0, h, length, burn_in, rng)
+        return simulate_ar(spec, t0, h, length, DEFAULT_AR_BURN_IN, rng)
     raise TypeError(f"unknown process spec {type(spec).__name__}")
 
 
 def write_trajectory_csv(path, traj: Trajectory):
     write_csv(path, ["t", "value"], zip(traj.times, traj.values))
 
-
-def read_trajectory_csv(path, marginal: Optional[Marginal] = None) -> Trajectory:
-    """Rebuild a Trajectory from a "t,value" file (grid inferred from times)."""
-    header, rows = read_csv(path)
-    if header[:2] != ["t", "value"]:
-        raise InvalidGrid(f"unexpected header {header}")
-    t = np.array([float(r[0]) for r in rows])
-    v = np.array([float(r[1]) for r in rows])
-    h = float(t[1] - t[0]) if t.size > 1 else 1.0
-    return Trajectory(float(t[0]), h, v, marginal)

@@ -4,10 +4,14 @@ One key of a preset, top-level or inside ``process`` or ``descent``, is set
 to an arbitrary JSON value (NaN, infinities and integers beyond the float
 range included, as Python's ``json`` reads them). ``spec_from_dict`` must
 then build the spec, or raise ``ConfigError`` naming that key or a key
-inside it; any other exception fails. And ``tailcast fit`` on that config
-must exit 2 or get as far as simulating the training trajectory: nothing
-the boundary accepts fails before the work starts. Derandomized, so every
-run draws the same examples.
+inside it; any other exception fails. The geometry keys are checked
+together (every time a multiple of ``h``, a window that holds the design
+span, enough window points to estimate a marginal), so a check across them
+names the key it finds short, not always the one that changed: a geometry
+key may be named by any key of ``GEOMETRY``. And ``tailcast fit`` on that
+config must exit 2 or get as far as simulating the training trajectory:
+nothing the boundary accepts fails before the work starts. Derandomized,
+so every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from tailcast.errors import ConfigError  # noqa: E402
 from tailcast.harness import spec_from_dict  # noqa: E402
 
 SECTIONS = ("top", "process", "descent")
+GEOMETRY = {"h", "window", "forecast_offsets", "prediction_interval", "marginal_mode",
+            "marginal_family"}
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -55,6 +61,15 @@ def mutated_config(preset, section, data):
     return mutated, name if section == "top" else f"{section}.{name}"
 
 
+def assert_names(exc, key):
+    """``exc`` names ``key`` or a key inside it, or, for a geometry key, any
+    geometry key."""
+    if key in GEOMETRY:
+        assert exc.key in GEOMETRY, exc
+    else:
+        assert exc.key == key or exc.key.startswith(key + "."), exc
+
+
 @pytest.mark.parametrize("section", SECTIONS)
 @pytest.mark.parametrize("preset", PRESETS)
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -70,7 +85,20 @@ def test_one_key_set_to_any_json_value_builds_or_names_the_key(preset, section, 
     try:
         spec_from_dict(mutated)
     except ConfigError as exc:
-        assert exc.key == key or exc.key.startswith(key + "."), exc
+        assert_names(exc, key)
+
+
+@pytest.mark.parametrize("preset, key, value, named", [
+    ("gauss_interp", "forecast_offsets", [0], "window"),  # span 0..35 in a 0..29.98 window
+    ("gauss_extrap", "h", 0.03, "forecast_offsets"),  # 30.1 is no multiple of 0.03
+])
+def test_geometry_key_named_by_another_geometry_key(preset, key, value, named):
+    config = preset_config(preset)
+    config[key] = value
+    with pytest.raises(ConfigError) as err:
+        spec_from_dict(config)
+    assert err.value.key == named
+    assert_names(err.value, key)
 
 
 class Simulated(Exception):

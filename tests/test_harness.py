@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.errors import ConfigError, DivergedToNonFinite, DomainError, NonFiniteInput
+from tailcast.errors import (
+    ConfigError,
+    DivergedToNonFinite,
+    DomainError,
+    GridMisaligned,
+    NonFiniteInput,
+)
 import tailcast.harness
 from tailcast.harness import (
     METHOD_ORDER,
@@ -294,8 +300,10 @@ def test_fit_covers_every_point_and_method(tiny_run):
             assert np.all(np.isfinite(pf.weights))
             assert np.isfinite(pf.objective)
             assert pf.method == m
-    # by_time fetches the same dict
+    # by_time fetches the same dict, and rounds no time off the lattice
     assert fits.by_time(10.3) is fits.fits[103]
+    with pytest.raises(GridMisaligned):
+        fits.by_time(10.34)
 
 
 def test_fit_baseline_weights_are_closed_form(tiny_run):

@@ -83,7 +83,8 @@ def test_design_validation():
 
     with pytest.raises(GridMisaligned):
         ForecastDesign(offsets=(30.005,), target=31.0, h=0.02, window=(0.0, 29.98))
-    assert gauss_design().n == 10
+    with pytest.raises(GridMisaligned):  # a window end off the lattice is not rounded
+        ForecastDesign(offsets=(30.0,), target=31.0, h=0.02, window=(0.0, 29.99))
 
 
 def test_extraction_count_oracle_extrapolation():

@@ -28,6 +28,9 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 HOOKED = [
     (tailcast.harness, "run_fit"),
+    (tailcast.harness, "simulate"),
+    (tailcast.harness, "extract_learning_samples"),
+    (tailcast.harness, "init_candidates"),
     (tailcast.harness, "solve"),
     (tailcast.optimize, "subgradient"),
     (tailcast.optimize, "mean_subgradient"),
@@ -61,7 +64,8 @@ def test_tracer_reaches_every_hook_and_restores():
         tailcast.harness.run_fit(replace(spec, variant="Q3",
                                          descent=DescentConfig(mode="batch", max_iter=20)))
     metrics = tracer.layer_metrics()
-    for name in ("objective.subgradient.calls", "objective.mean_subgradient.Q3.calls",
+    for name in ("processes.simulate.train.calls", "objective.extract_learning_samples.calls",
+                 "objective.subgradient.calls", "objective.mean_subgradient.Q3.calls",
                  "objective.objective_value.calls", "optimize.solve.calls",
                  "optimize.init_candidates.calls", "distributions.cdf.calls",
                  "distributions.pdf.calls", "objective.Predictor.inits"):
