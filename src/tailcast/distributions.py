@@ -11,7 +11,7 @@ configurations and manifests can embed them as JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -54,11 +54,22 @@ def _check_prob(p):
 class Marginal:
     """Base class for the parametric families.
 
-    Subclasses implement ``_cdf``/``_pdf``/``_quantile`` on float arrays and
-    ``sample``; input checking and scalar/array symmetry live here.
+    A family is a frozen dataclass whose fields are its parameters, in the
+    order ``params()`` lists them; every one must be finite, and each name
+    in ``_positive`` must be > 0. Subclasses implement
+    ``_cdf``/``_pdf``/``_quantile`` on float arrays and ``sample``; input
+    checking and scalar/array symmetry live here.
     """
 
     family = "base"
+    _positive = ()
+
+    def __post_init__(self):
+        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise NonFiniteInput("parameters must be finite")
+        for name in self._positive:
+            if getattr(self, name) <= 0:
+                raise DomainError(f"{name} must be positive")
 
     def _dispatch(self, impl, x):
         scalar = x.ndim == 0
@@ -78,7 +89,7 @@ class Marginal:
         raise NotImplementedError
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
@@ -92,12 +103,7 @@ class Gaussian(Marginal):
     mu: float = 0.0
     sigma: float = 1.0
     family = "gaussian"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise NonFiniteInput("parameters must be finite")
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+    _positive = ("sigma",)
 
     def _z(self, x):
         return (x - self.mu) / self.sigma
@@ -115,9 +121,6 @@ class Gaussian(Marginal):
     def sample(self, n, rng):
         return self.mu + self.sigma * rng.standard_normal(int(n))
 
-    def params(self):
-        return {"mu": float(self.mu), "sigma": float(self.sigma)}
-
 
 @dataclass(frozen=True, repr=False)
 class Cauchy(Marginal):
@@ -126,12 +129,7 @@ class Cauchy(Marginal):
     mu: float = 0.0
     sigma: float = 1.0
     family = "cauchy"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise NonFiniteInput("parameters must be finite")
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+    _positive = ("sigma",)
 
     def _cdf(self, x):
         return 0.5 + np.arctan((x - self.mu) / self.sigma) / np.pi
@@ -146,9 +144,6 @@ class Cauchy(Marginal):
     def sample(self, n, rng):
         return self.mu + self.sigma * rng.standard_cauchy(int(n))
 
-    def params(self):
-        return {"mu": float(self.mu), "sigma": float(self.sigma)}
-
 
 @dataclass(frozen=True, repr=False)
 class Levy(Marginal):
@@ -160,12 +155,7 @@ class Levy(Marginal):
 
     c: float = 1.0
     family = "levy"
-
-    def __post_init__(self):
-        if not np.isfinite(self.c):
-            raise NonFiniteInput("parameters must be finite")
-        if self.c <= 0:
-            raise DomainError("c must be positive")
+    _positive = ("c",)
 
     def _cdf(self, x):
         out = np.zeros_like(x)
@@ -188,9 +178,6 @@ class Levy(Marginal):
         z = rng.standard_normal(int(n))
         return self.c / (z * z)
 
-    def params(self):
-        return {"c": float(self.c)}
-
 
 @dataclass(frozen=True, repr=False)
 class StudentT(Marginal):
@@ -206,14 +193,7 @@ class StudentT(Marginal):
     sigma: float = 1.0
     nu: float = 1.0
     family = "student_t"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and np.isfinite(self.nu)):
-            raise NonFiniteInput("parameters must be finite")
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
-        if self.nu <= 0:
-            raise DomainError("nu must be positive")
+    _positive = ("sigma", "nu")
 
     def _cdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -244,9 +224,6 @@ class StudentT(Marginal):
         z = rng.standard_normal(n)
         v = rng.gamma(0.5 * self.nu, 2.0, size=n)  # chi-square with nu dof
         return self.mu + self.sigma * z / np.sqrt(v / self.nu)
-
-    def params(self):
-        return {"mu": float(self.mu), "sigma": float(self.sigma), "nu": float(self.nu)}
 
 
 _FAMILIES = {

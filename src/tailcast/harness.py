@@ -129,6 +129,8 @@ class ExperimentSpec:
             raise ConfigError("marginal_mode", "must be 'known' or 'estimated'")
         if self.marginal_mode == "estimated" and not self.marginal_family:
             raise ConfigError("marginal_family", "required when marginal_mode is 'estimated'")
+        if self.marginal_mode == "known":
+            known_marginal(self.process)  # names marginal_mode for a process without one
         if self.variant not in VARIANTS:
             raise ConfigError("variant", f"must be one of {VARIANTS}")
         if self.predictor_kind not in PREDICTOR_KINDS:
@@ -160,6 +162,18 @@ class ExperimentSpec:
         if self.marginal_mode == "estimated" and w_hi - w_lo + 1 < need:
             raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points; estimating "
                                         f"the marginal needs at least {need}")
+        # a fitted point's streams are keyed by its lattice index, and an AR
+        # replicate is simulated from lattice index 0 on, so neither may lie below 0
+        off = set(offsets)
+        first_fit = next((k for k in range(g_lo, g_hi + 1) if k not in off), 0)
+        if first_fit < 0:
+            raise ConfigError("prediction_interval", f"fits a point at lattice index {first_fit}; "
+                                                     "fitted points need indices >= 0")
+        if isinstance(self.process, ArStudentT):
+            for key, lo in (("forecast_offsets", min(offsets)), ("prediction_interval", g_lo)):
+                if lo < 0:
+                    raise ConfigError(key, f"reaches lattice index {lo}; an AR replicate "
+                                           "starts at lattice index 0")
 
     # --- derived geometry -------------------------------------------------
     @property
@@ -197,10 +211,8 @@ _SPEC_TYPES = {"name": str, "process": dict, "h": float, "window": list,
                "marginal_mode": str, "marginal_family": str, "max_rows": int,
                "descent": dict, "replicates": int, "seed": int, "warm_start": bool,
                "init_strategy": str, "init_count": int, "wasserstein_raw": bool}
-# descent key -> the type ``spec_from_dict`` requires of it
-_DESCENT_TYPES = {"mode": str, "a": float, "b": float, "beta": float, "max_iter": int,
-                  "tol": float, "burn_in": int, "selection": str, "constraint": str,
-                  "radius": float, "trace_stride": int}
+# descent key -> the type ``spec_from_dict`` requires of it: the type of its default
+_DESCENT_TYPES = {f.name: type(f.default) for f in fields(DescentConfig)}
 # process kind -> its keys besides "kind"
 _PROCESS_KEYS = {"gauss_exp_cov": (), "stable_ma": ("alpha",),
                  "ar_student_t": ("phi", "innovation")}

@@ -6,6 +6,10 @@ from tailcast.cli import PRESETS, build_parser, run
 from tailcast.harness import spec_from_dict, spec_to_dict
 
 
+AR3 = {"kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
+       "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}}
+
+
 def tiny_config(tmp_path, **overrides):
     cfg = {
         "name": "tiny-cli",
@@ -199,6 +203,11 @@ def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypa
     ({"window": [0.0, 0.3]}, "window"),  # 4 points for a design spanning 5
     ({"marginal_mode": "estimated", "marginal_family": "gaussian", "window": [0.0, 4.8]},
      "window"),  # 49 points: too few to estimate the marginal
+    # an AR design straddling lattice index 0, and an AR without a closed-form marginal
+    ({"process": AR3, "marginal_mode": "estimated", "marginal_family": "student_t",
+      "window": [-60.0, -0.2], "forecast_offsets": [-0.1, 0.0, 0.1],
+      "prediction_interval": [-0.1, 0.5]}, "forecast_offsets"),
+    ({"process": AR3, "marginal_mode": "known"}, "marginal_mode"),
 ])
 def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
                                                           command, overrides, key):
@@ -233,6 +242,7 @@ def test_preset_configs_all_load():
         assert spec.replicates == 1000
         spec2 = _load_config(name + ".json")
         assert spec_to_dict(spec) == spec_to_dict(spec2)
+        assert spec == spec2
 
 
 def test_demo_metrics_anchors(capsys):

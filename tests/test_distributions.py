@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,54 @@ def test_invalid_params_rejected():
         Levy(0.0)
     with pytest.raises(DomainError):
         StudentT(0.0, 1.0, -0.5)
+
+
+# family -> its parameters in field order, and those that must be positive
+PARAMETERS = {
+    Gaussian: (("mu", "sigma"), ("sigma",)),
+    Cauchy: (("mu", "sigma"), ("sigma",)),
+    Levy: (("c",), ("c",)),
+    StudentT: (("mu", "sigma", "nu"), ("sigma", "nu")),
+}
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (cls, name, value) for cls, (names, _) in PARAMETERS.items()
+    for name in names for value in (np.nan, np.inf, -np.inf)])
+def test_non_finite_parameter_rejected(cls, name, value):
+    with pytest.raises(NonFiniteInput, match="^parameters must be finite$"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (cls, name, value) for cls, (_, positive) in PARAMETERS.items()
+    for name in positive for value in (0.0, -1.0)])
+def test_non_positive_parameter_rejected(cls, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be positive$"):
+        cls(**{name: value})
+
+
+def test_parameter_checks_run_in_order():
+    """Finiteness of every parameter first, then positivity in field order."""
+    with pytest.raises(NonFiniteInput):
+        StudentT(0.0, -1.0, np.nan)
+    with pytest.raises(DomainError, match="^sigma must be positive$"):
+        StudentT(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("model, as_json, as_repr", [
+    (Gaussian(0.5, 2.0), '{"family": "gaussian", "params": {"mu": 0.5, "sigma": 2.0}}',
+     "Gaussian(mu=0.5, sigma=2)"),
+    (Cauchy(-1.0, 0.25), '{"family": "cauchy", "params": {"mu": -1.0, "sigma": 0.25}}',
+     "Cauchy(mu=-1, sigma=0.25)"),
+    (Levy(3.0), '{"family": "levy", "params": {"c": 3.0}}', "Levy(c=3)"),
+    (StudentT(0.0, 1.5, 0.8),
+     '{"family": "student_t", "params": {"mu": 0.0, "sigma": 1.5, "nu": 0.8}}',
+     "StudentT(mu=0, sigma=1.5, nu=0.8)"),
+])
+def test_json_and_repr_list_parameters_in_field_order(model, as_json, as_repr):
+    assert json.dumps(to_json(model)) == as_json
+    assert repr(model) == as_repr
 
 
 def test_scalar_and_array_dispatch():

@@ -5,7 +5,8 @@ lattice steps must give the same learning rows at every fitted point: the
 training draws do not depend on the window's start, and every time becomes
 a lattice index through one rule (``processes._aligned_index``), after which
 all index arithmetic is on integers. A shifted config may instead be
-rejected at the boundary, as any config with a time off the lattice is.
+rejected at the boundary, as any config with a time off the lattice is, or
+with a fitted point below lattice index 0, where its streams have no key.
 """
 
 from __future__ import annotations
@@ -64,16 +65,32 @@ def learning_rows(config: dict, monkeypatch) -> list:
 def test_shifted_design_has_the_same_learning_rows(preset, monkeypatch):
     config = preset_config(preset)
     base = learning_rows(config, monkeypatch)
-    for m in (10**3, 10**6, 10**7, 10**9):
+    for m in (-10**3, 10**3, 10**6, 10**7, 10**9):
         moved = shifted(config, m)
         try:
             spec_from_dict(moved)
         except ConfigError:
+            assert m > 0, m  # -10**3 keeps every fitted time >= 0, so it must load
             continue
         rows = learning_rows(moved, monkeypatch)
         assert len(rows) == len(base), m
         for (X, y), (X0, y0) in zip(rows, base):
             assert np.array_equal(X, X0) and np.array_equal(y, y0), m
+
+
+@pytest.mark.parametrize("preset", ["gauss_extrap", "cauchy_interp", "levy_extrap", "ar3"])
+def test_negative_fitted_index_is_rejected(preset, tmp_path, capsys, monkeypatch):
+    """3000 steps back puts every fitted point below lattice index 0, where
+    no stream key exists: ``fit`` exits 2 before simulating."""
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "simulate", no_simulation)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(shifted(preset_config(preset), -3000)))
+    assert run(["fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "'prediction_interval'" in capsys.readouterr().err
 
 
 def test_stable_ma_fit_far_from_the_origin(tmp_path):

@@ -4,7 +4,6 @@ from scipy import stats
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
 from tailcast.errors import (
-    DomainError,
     GridMisaligned,
     InvalidGrid,
     NonFiniteInput,
@@ -86,11 +85,13 @@ def test_kernel_unsupported_alpha():
         StableMovingAverage(1.5)
 
 
-def test_bad_custom_kernel_rejected():
-    with pytest.raises(DomainError):
-        StableMovingAverage(1.0, kernel=np.array([0.5, 0.25]))  # norm 0.75
-    with pytest.raises(DomainError):
-        StableMovingAverage(0.5, kernel=np.array([1.5, -0.5]))  # negative tap
+def test_stable_ma_is_its_alpha():
+    """The kernel follows from alpha, so equal alphas give equal, hashable
+    processes with the default kernel."""
+    spec = StableMovingAverage(0.5)
+    assert spec == StableMovingAverage(0.5) != StableMovingAverage(1.0)
+    assert hash(spec) == hash(StableMovingAverage(0.5))
+    assert np.array_equal(spec.kernel, default_kernel(0.5))
 
 
 # --- Gaussian process -------------------------------------------------------

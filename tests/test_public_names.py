@@ -1,0 +1,53 @@
+"""Each public name is declared once, in its own module's ``__all__``.
+
+The package module re-exports nothing, so importing one submodule loads
+only what that submodule needs. The import checks run in a fresh
+interpreter, because this one has long since imported every module.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tailcast
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(tailcast.__path__))
+
+
+def fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports
+    this checkout's tailcast."""
+    src = str(Path(tailcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_exists(name):
+    module = importlib.import_module(f"tailcast.{name}")
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert missing == [], f"tailcast.{name}.__all__ names what the module lacks"
+
+
+def test_package_exports_only_its_version():
+    out = fresh_interpreter("import tailcast; "
+                            "print(sorted(n for n in vars(tailcast) if not n.startswith('_')), "
+                            "tailcast.__version__)")
+    assert out == f"[] {tailcast.__version__}"
+
+
+def test_distributions_import_leaves_signal_and_harness_unloaded():
+    out = fresh_interpreter("import sys, tailcast.distributions; "
+                            "print([m for m in ('scipy.signal', 'tailcast.harness') "
+                            "if m in sys.modules])")
+    assert out == "[]"
