@@ -31,11 +31,14 @@ PRESETS = ("gauss_interp", "gauss_extrap", "cauchy_interp", "cauchy_extrap",
 def _load_config(path: str) -> harness.ExperimentSpec:
     name = path[:-5] if path.endswith(".json") else path
     if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config", f"{path} is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError("config", f"{path} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            # a directory, bytes that are not UTF-8, or nesting past the decoder's depth
+            raise ConfigError("config", f"cannot read {path}: {exc}") from None
     elif name in PRESETS:
         text = resources.files("tailcast").joinpath(f"presets/{name}.json").read_text()
         raw = json.loads(text)

@@ -19,15 +19,15 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import distributions
 from .csvio import write_csv
-from .distributions import Gaussian, Marginal
-from .errors import ConfigError, DivergedToNonFinite, DomainError, GridMisaligned
+from .distributions import Marginal
+from .errors import ConfigError, DivergedToNonFinite, GridMisaligned
 from .metrics import wasserstein2_samples
 from .objective import (
     PREDICTOR_KINDS,
@@ -41,10 +41,10 @@ from .objective import (
 )
 from .optimize import COLD_STARTS, DescentConfig, init_candidates, solve, solve_lockstep
 from .processes import (
+    _KINDS,
     ArStudentT,
     GaussExpCov,
     ProcessSpec,
-    StableMovingAverage,
     Trajectory,
     _aligned_index,
     simulate,
@@ -195,88 +195,29 @@ class ExperimentSpec:
         out = ["unconstrained"]
         if self.variant in ("Q3", "Q4"):
             out.append("penalized")
-        if isinstance(self.process, GaussExpCov):
+        if self.process == GaussExpCov():  # the baselines know only its covariance
             out += ["kriging", "exact"]
         return out
 
 
 # --- JSON config ----------------------------------------------------------
 
-# top-level key -> the JSON type ``spec_from_dict`` requires of it; a key is
-# required when its ExperimentSpec field has no default, and may be null
-# when that default is None
-_SPEC_TYPES = {"name": str, "process": dict, "h": float, "window": list,
-               "forecast_offsets": list, "prediction_interval": list,
-               "predictor_kind": str, "variant": str, "gamma": float,
-               "marginal_mode": str, "marginal_family": str, "max_rows": int,
-               "descent": dict, "replicates": int, "seed": int, "warm_start": bool,
-               "init_strategy": str, "init_count": int, "wasserstein_raw": bool}
-# descent key -> the type ``spec_from_dict`` requires of it: the type of its default
-_DESCENT_TYPES = {f.name: type(f.default) for f in fields(DescentConfig)}
-# process kind -> its keys besides "kind"
-_PROCESS_KEYS = {"gauss_exp_cov": (), "stable_ma": ("alpha",),
-                 "ar_student_t": ("phi", "innovation")}
 
-
-def _process_to_dict(p: ProcessSpec) -> dict:
-    if isinstance(p, GaussExpCov):
-        return {"kind": "gauss_exp_cov"}
-    if isinstance(p, StableMovingAverage):
-        return {"kind": "stable_ma", "alpha": p.alpha}
-    if isinstance(p, ArStudentT):
-        return {"kind": "ar_student_t", "phi": list(p.phi),
-                "innovation": distributions.to_json(p.innovation)}
-    raise ConfigError("process", f"unknown process type {type(p).__name__}")
-
-
-def _process_from_dict(d: dict) -> ProcessSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("process", "must be an object with a 'kind' key")
-    kind = _checked("process.kind", d["kind"], str)
-    if kind not in _PROCESS_KEYS:
-        raise ConfigError("process.kind", f"unknown process kind {kind!r}")
-    for key in d:
-        if key != "kind" and key not in _PROCESS_KEYS[kind]:
-            raise ConfigError(f"process.{key}", f"unknown key for {kind}")
-    for key in _PROCESS_KEYS[kind]:
-        if key not in d:
-            raise ConfigError(f"process.{key}", f"required for {kind}")
-    if kind == "gauss_exp_cov":
-        return GaussExpCov()
-    if kind == "stable_ma":
-        return _built("process.alpha", StableMovingAverage,
-                      _checked("process.alpha", d["alpha"], float))
-    innovation = d["innovation"]
-    if not (isinstance(innovation, dict) and set(innovation) <= {"family", "params"}
-            and isinstance(innovation.get("params", {}), dict)):
-        raise ConfigError("process.innovation", "must be an object {family, params}")
-    params = {name: _checked("process.innovation", v, float)
-              for name, v in innovation.get("params", {}).items()}
-    innovation = _built("process.innovation", distributions.from_json,
-                        {"family": innovation.get("family"), "params": params})
-    return _built("process.phi", ArStudentT, _numbers("process.phi", d["phi"]), innovation)
-
-
-def _descent_from_dict(d: dict) -> DescentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("descent", "must be an object")
-    for key in d:
-        if key not in _DESCENT_TYPES:
-            raise ConfigError(f"descent.{key}", "unknown key")
-    try:
-        return DescentConfig(**{key: _checked(f"descent.{key}", value, _DESCENT_TYPES[key])
-                                for key, value in d.items()})
-    except DomainError as exc:
-        raise ConfigError(f"descent.{exc.key}" if exc.key else "descent", str(exc)) from None
+def _to_json(value):
+    """``value`` as JSON data: a dataclass as its fields (a process with its
+    ``kind``), a marginal as ``{family, params}`` and a tuple as a list."""
+    if isinstance(value, Marginal):
+        return distributions.to_json(value)
+    if isinstance(value, tuple):
+        return list(value)
+    if not is_dataclass(value):
+        return value
+    out = {"kind": value.kind} if isinstance(value, ProcessSpec) else {}
+    return {**out, **{f.name: _to_json(getattr(value, f.name)) for f in fields(value)}}
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    out = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    for key, value in out.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-    out.update(process=_process_to_dict(spec.process), descent=asdict(spec.descent))
-    return out
+    return _to_json(spec)
 
 
 def _checked(key, value, kind):
@@ -291,45 +232,66 @@ def _checked(key, value, kind):
         raise ConfigError(key, "integer beyond the float range") from None
 
 
-def _numbers(key, value) -> tuple:
-    """A JSON list of numbers as a tuple of floats."""
-    if not isinstance(value, list):
-        raise ConfigError(key, f"must be a list of numbers, got {value!r}")
-    return tuple(_checked(key, v, float) for v in value)
+def _value(key, value, hint):
+    """The JSON value of config key ``key`` as a field of type ``hint``."""
+    if get_origin(hint) is Union and type(None) in get_args(hint):  # Optional[X]
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if hint == ProcessSpec:
+        if not (isinstance(value, dict) and "kind" in value):
+            raise ConfigError(key, "must be an object with a 'kind' key")
+        kind = _checked(f"{key}.kind", value["kind"], str)
+        if kind not in _KINDS:
+            raise ConfigError(f"{key}.kind", f"unknown process kind {kind!r}")
+        return _object(_KINDS[kind], {k: v for k, v in value.items() if k != "kind"}, key)
+    if is_dataclass(hint):
+        return _object(hint, value, key)
+    if hint is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(key, f"must be a list of numbers, got {value!r}")
+        return tuple(_checked(key, v, float) for v in value)
+    if hint is Marginal:
+        if not (isinstance(value, dict) and set(value) <= {"family", "params"}
+                and isinstance(value.get("params", {}), dict)):
+            raise ConfigError(key, "must be an object {family, params}")
+        params = {name: _checked(key, v, float) for name, v in value.get("params", {}).items()}
+        try:
+            return distributions.from_json({"family": value.get("family"), "params": params})
+        except (ValueError, TypeError) as exc:  # TypeError: an unknown parameter name
+            raise ConfigError(key, str(exc)) from None
+    return _checked(key, value, hint)
 
 
-def _built(key, build, *args):
-    """``build(*args)``, naming config key ``key`` in any domain error it
-    raises, or in the TypeError of an unknown or missing parameter name."""
+def _object(cls, d, key=None):
+    """Dataclass ``cls`` from the JSON object ``d``, the value of config key
+    ``key`` (None for the top level). The fields are the schema: a key is
+    required when its field has no default, may be null when that default is
+    None, and is read by its field's type hint. A ConfigError building ``cls``
+    passes through; any other error names the field its ``key`` gives (as a
+    DescentConfig DomainError does), else the first field (a process's)."""
+    if not isinstance(d, dict):
+        raise ConfigError(key or "config", "must be an object")
+    prefix = f"{key}." if key else ""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    for name in d:
+        if name not in names:
+            raise ConfigError(prefix + name, "unknown key")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d and not (d[f.name] is None and f.default is None):
+            kwargs[f.name] = _value(prefix + f.name, d[f.name], hints[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(prefix + f.name, "missing required key")
     try:
-        return build(*args)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        raise ConfigError(key, str(exc)) from None
-
-
-def _read(key, value):
-    """The JSON value of top-level key ``key`` as its ExperimentSpec field."""
-    kind = _SPEC_TYPES[key]
-    if kind is dict:
-        return {"process": _process_from_dict, "descent": _descent_from_dict}[key](value)
-    if kind is list:
-        return _numbers(key, value)
-    return _checked(key, value, kind)
+        raise ConfigError(prefix + (getattr(exc, "key", None) or names[0]), str(exc)) from None
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    for key in d:
-        if key not in _SPEC_TYPES:
-            raise ConfigError(key, "unknown key")
-    kwargs = {}
-    for f in fields(ExperimentSpec):
-        if f.name in d and not (d[f.name] is None and f.default is None):
-            kwargs[f.name] = _read(f.name, d[f.name])
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f.name, "missing required key")
-    return ExperimentSpec(**kwargs)
+    return _object(ExperimentSpec, d)
 
 
 # --- fitting ----------------------------------------------------------------
@@ -358,9 +320,7 @@ class FitResults:
 
 
 def known_marginal(process: ProcessSpec) -> Marginal:
-    if isinstance(process, GaussExpCov):
-        return Gaussian(0.0, 1.0)
-    if isinstance(process, StableMovingAverage):
+    if process.marginal is not None:
         return process.marginal
     raise ConfigError("marginal_mode", "no closed-form marginal for this process; use 'estimated'")
 
@@ -423,7 +383,7 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
     solver_methods = list(obj_specs)
     lockstep = spec.descent.mode == "online" and all(
         s.variant in ("Q2", "Q3") for s in obj_specs.values())
-    use_baselines = isinstance(spec.process, GaussExpCov)
+    use_baselines = "kriging" in spec.methods
     q2_spec = ObjectiveSpec("Q2", marginal)
     fits = {}
     prev = {}

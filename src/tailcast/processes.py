@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
-from scipy import signal
 
 from .csvio import write_csv
-from .distributions import Cauchy, Levy, Marginal
+from .distributions import Cauchy, Gaussian, Levy, Marginal
 from .errors import (
     GridMisaligned,
     InvalidGrid,
@@ -98,6 +97,9 @@ class Trajectory:
 class GaussExpCov:
     """Stationary Gaussian process, N(0,1) marginal, covariance exp(-|t|/2)."""
 
+    kind = "gauss_exp_cov"
+    marginal = Gaussian(0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class StableMovingAverage:
@@ -109,6 +111,7 @@ class StableMovingAverage:
     family.
     """
 
+    kind = "stable_ma"
     alpha: float
 
     def __post_init__(self):
@@ -132,6 +135,8 @@ class ArStudentT:
     innovation law is pluggable (experiments use Student-t, nu = 0.8).
     """
 
+    kind = "ar_student_t"
+    marginal = None  # no closed form
     phi: tuple
     innovation: Marginal
 
@@ -156,6 +161,8 @@ class ArStudentT:
 
 
 ProcessSpec = Union[GaussExpCov, StableMovingAverage, ArStudentT]
+# JSON tag -> process class; the config reads and writes a process by its tag
+_KINDS = {cls.kind: cls for cls in get_args(ProcessSpec)}
 
 
 def default_kernel(alpha: float) -> np.ndarray:
@@ -189,6 +196,7 @@ def simulate_gauss_exp_cov(t0, h, length, rng) -> Trajectory:
     r = np.exp(-h / 2.0)
     innov = rng.standard_normal(length)
     innov[1:] *= np.sqrt(1.0 - r * r)
+    from scipy import signal  # a third of the start-up, paid only when a path is filtered
     values = signal.lfilter([1.0], [1.0, -r], innov)
     return Trajectory(t0, h, values)
 
@@ -216,6 +224,7 @@ def simulate_ar(spec: ArStudentT, t0, h, length, burn_in, rng) -> Trajectory:
     burn_in = int(burn_in)
     innov = spec.innovation.sample(burn_in + length, rng)
     a = np.concatenate([[1.0], -spec.lag_coeffs])
+    from scipy import signal
     values = signal.lfilter([1.0], a, innov)[burn_in:]
     return Trajectory(t0, h, values)
 

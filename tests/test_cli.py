@@ -150,6 +150,28 @@ def test_invalid_json_exit_code(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("contents", ["directory", b"\xff\xfe{}", "[" * 100_000 + "]" * 100_000],
+                         ids=["directory", "not_utf8", "too_deep"])
+def test_unreadable_config_exit_code_before_simulating(tmp_path, capsys, monkeypatch, contents):
+    import tailcast.harness
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "_simulate_training", no_simulation)
+    cfg = tmp_path / "config.json"
+    if contents == "directory":
+        cfg.mkdir()
+    elif isinstance(contents, bytes):
+        cfg.write_bytes(contents)  # not UTF-8
+    else:
+        cfg.write_text(contents)  # nested deeper than the decoder's recursion limit
+    out = tmp_path / "o"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'config'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = tiny_config(tmp_path, extra_knob=1)
     assert run(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from typing import get_args
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from tailcast.harness import (
     write_weights_csv,
 )
 from tailcast.optimize import DescentConfig
-from tailcast.processes import ArStudentT, GaussExpCov, StableMovingAverage
+from tailcast.processes import _KINDS, ArStudentT, GaussExpCov, ProcessSpec, StableMovingAverage
 
 
 def tiny_gauss_spec(**overrides):
@@ -109,7 +112,22 @@ def test_spec_json_round_trip_all_processes():
     ):
         spec = tiny_gauss_spec(process=process, **mode)
         d = spec_to_dict(spec)
+        assert spec_from_dict(d) == spec
         assert spec_to_dict(spec_from_dict(d)) == d
+
+
+def test_process_kinds_declared_once_by_their_classes():
+    """``_KINDS`` tags every member of ProcessSpec, and a process is written
+    as its tag plus its class's fields."""
+    processes = (GaussExpCov(), StableMovingAverage(0.5),
+                 ArStudentT((0.5,), StudentT(0.0, 1.0, 0.8)))
+    assert set(_KINDS.values()) == set(get_args(ProcessSpec)) == {type(p) for p in processes}
+    for process in processes:
+        mode = {} if process.marginal else {"marginal_mode": "estimated",
+                                            "marginal_family": "student_t"}
+        d = spec_to_dict(tiny_gauss_spec(process=process, **mode))["process"]
+        assert list(d) == ["kind"] + [f.name for f in fields(process)]
+        assert _KINDS[d["kind"]] is type(process)
 
 
 def test_spec_from_dict_unknown_key_named():
@@ -159,12 +177,6 @@ def test_spec_from_dict_rejects_descent_value_out_of_range_by_key():
     # JSON integers are accepted as floats
     d["descent"] = {**d["descent"], "a": 10, "radius": 2}
     assert spec_from_dict(d).descent.a == 10.0
-
-
-def test_spec_types_name_every_field_once():
-    from dataclasses import fields
-
-    assert list(tailcast.harness._SPEC_TYPES) == [f.name for f in fields(ExperimentSpec)]
 
 
 def test_spec_from_dict_null_only_where_the_default_is_null():

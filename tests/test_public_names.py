@@ -51,3 +51,10 @@ def test_distributions_import_leaves_signal_and_harness_unloaded():
                             "print([m for m in ('scipy.signal', 'tailcast.harness') "
                             "if m in sys.modules])")
     assert out == "[]"
+
+
+def test_cli_import_leaves_signal_unloaded():
+    """``scipy.signal`` is a third of the start-up; only simulating a
+    filtered path loads it."""
+    out = fresh_interpreter("import sys, tailcast.cli; print('scipy.signal' in sys.modules)")
+    assert out == "False"
