@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import DomainError, NonFiniteInput, SingularCovariance
 from .objective import ForecastDesign
@@ -62,6 +61,8 @@ def covariances_exp(design: ForecastDesign) -> GaussianSecondOrder:
 
 
 def _chol_solve(so: GaussianSecondOrder, rhs: np.ndarray) -> np.ndarray:
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve  # only the Gaussian baselines
+
     try:
         factor = cho_factor(so.sigma, lower=True)
     except LinAlgError as exc:

@@ -11,6 +11,7 @@ configurations and manifests can embed them as JSON.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -242,7 +243,7 @@ def from_json(obj: dict) -> Marginal:
     try:
         cls = _FAMILIES[obj["family"]]
     except KeyError:
-        raise DomainError(f"unknown family {obj.get('family')!r}") from None
+        raise DomainError(f"unknown family {reprlib.repr(obj.get('family'))}") from None
     return cls(**obj.get("params", {}))
 
 

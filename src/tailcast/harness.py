@@ -16,6 +16,7 @@ so outputs are identical across runs and thread counts.
 
 from __future__ import annotations
 
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -225,7 +226,7 @@ def _checked(key, value, kind):
     writes 5.0 as 5); a boolean passes only as a boolean."""
     accepted = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(key, f"must be of type {kind.__name__}, got {value!r}")
+        raise ConfigError(key, f"must be of type {kind.__name__}, got {reprlib.repr(value)}")
     try:
         return kind(value)
     except OverflowError:  # an integer beyond the float range
@@ -241,13 +242,13 @@ def _value(key, value, hint):
             raise ConfigError(key, "must be an object with a 'kind' key")
         kind = _checked(f"{key}.kind", value["kind"], str)
         if kind not in _KINDS:
-            raise ConfigError(f"{key}.kind", f"unknown process kind {kind!r}")
+            raise ConfigError(f"{key}.kind", f"unknown process kind {reprlib.repr(kind)}")
         return _object(_KINDS[kind], {k: v for k, v in value.items() if k != "kind"}, key)
     if is_dataclass(hint):
         return _object(hint, value, key)
     if hint is tuple:
         if not isinstance(value, list):
-            raise ConfigError(key, f"must be a list of numbers, got {value!r}")
+            raise ConfigError(key, f"must be a list of numbers, got {reprlib.repr(value)}")
         return tuple(_checked(key, v, float) for v in value)
     if hint is Marginal:
         if not (isinstance(value, dict) and set(value) <= {"family", "params"}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, InsufficientData, LengthMismatch, NonFiniteInput
 
@@ -197,9 +197,10 @@ def wasserstein2_samples(a, b) -> float:
 def gaussian_copula_diag(rho: float, x: float) -> float:
     """Diagonal C(x,x) of the bivariate Gaussian copula with correlation rho.
 
-    C(x,x) = x^2 + (1/2pi) * integral_0^{asin rho} exp(-q^2 (1-sin t)/cos^2 t) dt
-    with q the standard normal quantile of x. The integrand simplifies to
-    exp(-q^2/(1+sin t)), which is well behaved up to |rho| = 1.
+    In closed form, C(x,x) = Phi2(q, q; rho) = x - 2 T(q, tan(acos(rho) / 2))
+    with q the standard normal quantile of x and T Owen's T function (Owen
+    1956). The one expression covers |rho| = 1: it gives x at rho = 1 and
+    max(2x - 1, 0) at rho = -1.
     """
     if not (np.isfinite(rho) and np.isfinite(x)):
         raise NonFiniteInput("rho and x must be finite")
@@ -209,6 +210,4 @@ def gaussian_copula_diag(rho: float, x: float) -> float:
         raise DomainError("x must lie in [0, 1]")
     if x == 0.0 or x == 1.0:
         return float(x)
-    q = special.ndtri(x)
-    val, _ = integrate.quad(lambda t: np.exp(-q * q / (1.0 + np.sin(t))), 0.0, np.arcsin(rho), limit=200)
-    return float(x * x + val / (2.0 * np.pi))
+    return float(x - 2.0 * special.owens_t(special.ndtri(x), np.tan(np.arccos(rho) / 2.0)))

@@ -230,6 +230,11 @@ def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypa
       "window": [-60.0, -0.2], "forecast_offsets": [-0.1, 0.0, 0.1],
       "prediction_interval": [-0.1, 0.5]}, "forecast_offsets"),
     ({"process": AR3, "marginal_mode": "known"}, "marginal_mode"),
+    # huge values, which the message quotes cut short
+    ({"name": list(range(10**5))}, "name"), ({"h": "x" * 10**6}, "h"),
+    ({"process": {"kind": "k" * 10**5}}, "process.kind"),
+    ({"process": {**AR3, "innovation": {"family": "f" * 10**5}}}, "process.innovation"),
+    ({"window": ["w" * 10**5, 1.0]}, "window"),
 ])
 def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
                                                           command, overrides, key):
@@ -242,7 +247,9 @@ def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monk
     cfg = tiny_config(tmp_path, **overrides)
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out)]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert len(err) < 300
     assert not out.exists()
 
 

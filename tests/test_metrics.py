@@ -312,7 +312,7 @@ def test_copula_diag_frozen_values():
     assert gaussian_copula_diag(1.0, 0.3) == pytest.approx(0.3, abs=1e-12)
     assert gaussian_copula_diag(-1.0, 0.5) == pytest.approx(0.0, abs=1e-12)
     assert gaussian_copula_diag(-1.0, 0.8) == pytest.approx(0.6, abs=1e-12)
-    # rho = 0.5 at the median: exactly 1/3 (quadrature, frozen)
+    # rho = 0.5 at the median: 1/4 + asin(1/2)/(2pi) = 1/3
     assert gaussian_copula_diag(0.5, 0.5) == pytest.approx(0.3333333333333333, abs=1e-9)
 
 
@@ -340,6 +340,36 @@ def test_copula_diag_gini_quadrature():
     assert gini_quad == pytest.approx(0.10108262419502467, abs=1e-9)
     s = gauss_pairs(rho, 500000)
     assert gini_empirical(s) == pytest.approx(gini_quad, abs=0.005)
+
+
+def quadrature_copula_diag(rho, x):
+    """C(x,x) by quadrature of x^2 + (1/2pi) integral_0^{asin rho} exp(-q^2/(1+sin t)) dt,
+    q the normal quantile of x: an oracle independent of Owen's T."""
+    from scipy import integrate, special
+
+    if x == 0.0 or x == 1.0:
+        return float(x)
+    q = special.ndtri(x)
+    val, _ = integrate.quad(lambda t: np.exp(-q * q / (1.0 + np.sin(t))), 0.0, np.arcsin(rho), limit=200)
+    return float(x * x + val / (2.0 * np.pi))
+
+
+def test_copula_diag_closed_form_matches_quadrature():
+    gaps = [abs(gaussian_copula_diag(rho, x) - quadrature_copula_diag(rho, x))
+            for rho in np.linspace(-1.0, 1.0, 41).tolist()
+            for x in np.linspace(0.0, 1.0, 101).tolist()]
+    assert max(gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.3, 0.7, 0.9, 0.99])
+def test_copula_diag_population_gini_arcsine(rho):
+    """1 - 2 integral_0^1 C(x,x) dx = 2 E[max(U,V)] - 1 = 1/2 - asin((1+rho)/2)/pi,
+    since E[Phi(max(Z1,Z2))] = 3/4 - asin((1+rho)/2)/(2pi). At rho = 0.9 this is
+    criterion 12's 0.10108262419502467 = 1/2 - asin(0.95)/pi."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(lambda xi: gaussian_copula_diag(rho, xi), 0.0, 1.0, limit=200)
+    assert 1.0 - 2.0 * val == pytest.approx(0.5 - np.arcsin((1.0 + rho) / 2.0) / np.pi, abs=1e-9)
 
 
 def test_copula_diag_domain_errors():

@@ -53,8 +53,13 @@ def test_distributions_import_leaves_signal_and_harness_unloaded():
     assert out == "[]"
 
 
+LAZY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+
 def test_cli_import_leaves_signal_unloaded():
-    """``scipy.signal`` is a third of the start-up; only simulating a
-    filtered path loads it."""
-    out = fresh_interpreter("import sys, tailcast.cli; print('scipy.signal' in sys.modules)")
-    assert out == "False"
+    """``import tailcast.cli`` loads none of the scipy modules that only
+    simulating a filtered path (``scipy.signal``, which loads the other
+    three) or solving a Gaussian baseline (``scipy.linalg``) needs."""
+    out = fresh_interpreter(f"import sys, tailcast.cli; "
+                            f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])")
+    assert out == "[]"
