@@ -89,10 +89,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     spec = _apply_overrides(_load_config(args.config), args)
-    if args.threads < 1:
-        raise ConfigError("threads", "must be >= 1")
     fits = harness.run_fit(spec)
-    report = harness.run_eval(spec, fits, threads=args.threads)
+    report = harness.run_eval(spec, fits)
     harness.write_weights_csv(os.path.join(args.out, "weights.csv"), fits)
     harness.write_eval_csv(os.path.join(args.out, "eval.csv"), report)
     _write_manifest(args.out, spec, "evaluate")
@@ -160,12 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--replicates", type=int, default=None, help="replicate count override")
         p.set_defaults(fn=fn)
-        return p
 
     add_run("simulate", _cmd_simulate)
     add_run("fit", _cmd_fit)
-    add_run("evaluate", _cmd_evaluate).add_argument(
-        "--threads", type=int, default=1, help="evaluation worker threads")
+    add_run("evaluate", _cmd_evaluate)
     add_run("benchmark", _cmd_benchmark, needs_out=False)
 
     demo = sub.add_parser("demo-metrics")

@@ -168,7 +168,9 @@ class Levy(Marginal):
         out = np.zeros_like(x)
         pos = x > 0
         xp = x[pos]
-        out[pos] = np.sqrt(self.c / (2.0 * np.pi)) * xp ** -1.5 * np.exp(-self.c / (2.0 * xp))
+        tail = np.exp(-self.c / (2.0 * xp))
+        # where tail underflows to 0 so does the pdf, and xp ** -1.5 may overflow: inf * 0 is NaN
+        out[pos] = np.sqrt(self.c / (2.0 * np.pi)) * np.where(tail > 0, xp, 1.0) ** -1.5 * tail
         return out
 
     def _quantile(self, p):
@@ -244,6 +246,8 @@ def from_json(obj: dict) -> Marginal:
         cls = _FAMILIES[obj["family"]]
     except KeyError:
         raise DomainError(f"unknown family {reprlib.repr(obj.get('family'))}") from None
+    if not set(obj.get("params", {})) <= {f.name for f in fields(cls)}:
+        raise DomainError(f"{cls.family} takes only " + ", ".join(f.name for f in fields(cls)))
     return cls(**obj.get("params", {}))
 
 

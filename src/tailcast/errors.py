@@ -4,6 +4,8 @@ Everything derives from ValueError/RuntimeError so callers that do not care
 about the fine distinctions can catch the built-ins.
 """
 
+import reprlib
+
 
 class NonFiniteInput(ValueError):
     """An input array contains NaN or infinity."""
@@ -74,8 +76,10 @@ class DivergedToNonFinite(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration is malformed; ``key`` names the offending entry."""
+    """A run configuration is malformed; ``key`` names the offending entry.
+    The message quotes the key through ``reprlib``, so that a key read from
+    the config itself (an unknown one) prints cut short."""
 
     def __init__(self, key, message):
-        super().__init__(f"config key '{key}': {message}")
+        super().__init__(f"config key {reprlib.repr(key)}: {message}")
         self.key = key

