@@ -4,11 +4,14 @@ All output lands on a regular grid t0 + i*h as a Trajectory. A time becomes
 an index of the lattice hZ in one place, ``_aligned_index``, and all index
 arithmetic after it is on integers. The Gaussian process with covariance
 exp(-|t|/2) is Markov, so exact O(length) recursion replaces dense
-Cholesky. The stable moving averages ride on an integer innovation lattice
+Cholesky; a Python loop runs it with the float operations of
+``scipy.signal.lfilter``, so no Gaussian run imports ``scipy.signal``.
+The stable moving averages ride on an integer innovation lattice
 convolved with a finite exponential kernel whose stable norm is exactly
 one, making the marginal law known in closed form. The autoregressive
 simulator is the generic recursion with pluggable innovation law and
-burn-in.
+burn-in; its 10,000-step burn-ins need ``lfilter``'s C loop, and it alone
+imports ``scipy.signal``, when it runs.
 """
 
 from __future__ import annotations
@@ -196,9 +199,17 @@ def simulate_gauss_exp_cov(t0, h, length, rng) -> Trajectory:
     r = np.exp(-h / 2.0)
     innov = rng.standard_normal(length)
     innov[1:] *= np.sqrt(1.0 - r * r)
-    from scipy import signal  # a third of the start-up, paid only when a path is filtered
-    values = signal.lfilter([1.0], [1.0, -r], innov)
-    return Trajectory(t0, h, values)
+    # lfilter([1.0], [1.0, -r], innov) bit for bit: its transposed direct
+    # form II steps in its order. Importing scipy.signal costs more than this
+    # loop until a process has simulated millions of steps.
+    a1 = float(-r)
+    values = []
+    z = 0.0
+    for x in innov.tolist():
+        y = z + x
+        values.append(y)
+        z = x * 0.0 - y * a1
+    return Trajectory(t0, h, np.array(values))
 
 
 def simulate_stable_ma(spec: StableMovingAverage, t0, h, length, rng) -> Trajectory:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -112,6 +113,41 @@ def test_levy_pdf_is_zero_where_its_exponential_underflows():
             assert np.array_equal(got[defined], want[defined])
             assert np.all(got[~defined] == 0.0)
         assert not np.all(defined)
+
+
+def levy_pdf_product(c, x):
+    """The pdf as a product of floats, 0 where the exponential underflows;
+    ``Levy.pdf`` keeps its bits wherever it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = np.exp(-c / (2.0 * x))
+        return np.sqrt(c / (2.0 * np.pi)) * np.where(tail > 0, x, 1.0) ** -1.5 * tail
+
+
+def levy_pdf_decimal(c, x):
+    """The closed form in 40-digit decimals, which do not overflow."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, x = ctx.create_decimal(c), ctx.create_decimal(x)
+        pi = Decimal("3.141592653589793238462643383279502884197")
+        return float((c / (2 * pi)).sqrt() * x ** Decimal("-1.5") * (-c / (2 * x)).exp())
+
+
+def test_levy_pdf_keeps_the_product_where_finite_and_logs_where_it_overflows():
+    """x ** -1.5 overflows below x ~ 3e-206, before a tiny c scales the
+    product back into range; there the pdf is finite all the same."""
+    assert Levy(1e-300).pdf(1e-299) == pytest.approx(1.200038948430136e298, rel=1e-12)
+    x = np.logspace(-323, 300, 6231)
+    for c, overflows in ((1e-300, True), (1e-250, True), (1e-203, True), (1e-200, False),
+                         (1.0, False), (1e300, False)):
+        with np.errstate(over="ignore"):  # c / (2 x) overflows for c = 1e300: the pdf is 0 there
+            got, want = Levy(c).pdf(x), levy_pdf_product(c, x)
+        kept = np.isfinite(want)
+        assert np.array_equal(got[kept], want[kept])
+        assert np.any(~kept) == overflows
+        for xi, pi in zip(x[~kept], got[~kept]):
+            assert pi == pytest.approx(levy_pdf_decimal(c, xi), rel=1e-12)
+    # a subnormal scale: the product is 0 * inf = NaN, the log form is finite or past the float range
+    assert not np.any(np.isnan(Levy(5e-324).pdf(x)))
 
 
 def test_levy_sampler_is_inverse_square_normal():

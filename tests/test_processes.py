@@ -110,6 +110,35 @@ def test_gauss_markov_recursion_is_exact():
     assert np.allclose(traj.values, x, atol=1e-14)
 
 
+class GivenNormals:
+    """A generator stand-in whose standard normal draws are given."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, n):
+        assert n == self.z.size
+        return self.z.copy()
+
+
+@pytest.mark.parametrize("h", [1e-6, 0.02, 0.1, 0.5, 3.0])
+def test_gauss_path_is_lfilter_bit_for_bit(h):
+    """The recursion gives the bytes of scipy.signal.lfilter, signed zeros
+    included; the package itself never imports scipy.signal for it."""
+    from scipy import signal
+
+    g = np.random.default_rng(int(h * 1e6))
+    lengths = [1, 2, 3000] + [int(n) for n in g.integers(1, 3001, size=8)]
+    draws = [g.standard_normal(n) for n in lengths] + [np.zeros(50), np.full(50, -0.0)]
+    r = np.exp(-h / 2.0)
+    for z in draws:
+        innov = z.copy()
+        innov[1:] *= np.sqrt(1.0 - r * r)
+        want = signal.lfilter([1.0], [1.0, -r], innov)
+        got = simulate_gauss_exp_cov(0.0, h, z.size, GivenNormals(z)).values
+        assert got.tobytes() == want.tobytes(), (h, z.size)
+
+
 def test_gauss_lag_one_correlation():
     g = RngStream(8, 3).generator()
     traj = simulate_gauss_exp_cov(0.0, 0.02, 200000, g)

@@ -8,6 +8,7 @@ interpreter, because this one has long since imported every module.
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -58,8 +59,46 @@ LAZY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg
 
 def test_cli_import_leaves_signal_unloaded():
     """``import tailcast.cli`` loads none of the scipy modules that only
-    simulating a filtered path (``scipy.signal``, which loads the other
-    three) or solving a Gaussian baseline (``scipy.linalg``) needs."""
+    simulating an AR path (``scipy.signal``, which loads the other three) or
+    solving a Gaussian baseline (``scipy.linalg``) needs."""
     out = fresh_interpreter(f"import sys, tailcast.cli; "
                             f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])")
     assert out == "[]"
+
+
+def small_config(tmp_path, process):
+    path = tmp_path / f"{process['kind']}.json"
+    path.write_text(json.dumps({
+        "name": "small", "process": process, "h": 0.1, "window": [0.0, 9.9],
+        "forecast_offsets": [10.0, 10.2], "prediction_interval": [10.3, 10.4],
+        "marginal_mode": "estimated", "marginal_family": "gaussian",
+        "descent": {"mode": "online", "max_iter": 30}, "replicates": 4, "seed": 3}))
+    return str(path)
+
+
+def signal_loaded_after(commands) -> bool:
+    """Whether a fresh interpreter holds ``scipy.signal`` after running each
+    ``tailcast`` command line in ``commands``, all exiting 0."""
+    out = fresh_interpreter(f"import sys; from tailcast.cli import run; "
+                            f"print([run(argv) for argv in {commands!r}], "
+                            f"'scipy.signal' in sys.modules)")
+    last = out.splitlines()[-1]  # the commands print their own lines first
+    assert last.startswith(f"{[0] * len(commands)} "), out
+    return last.endswith("True")
+
+
+def test_gaussian_runs_leave_signal_unloaded(tmp_path):
+    """The Gaussian path is an exact Python recursion, so simulating,
+    fitting and evaluating a Gaussian process never needs ``scipy.signal``."""
+    cfg = small_config(tmp_path, {"kind": "gauss_exp_cov"})
+    commands = [[command, "--config", cfg, "--out", str(tmp_path / command)]
+                for command in ("simulate", "fit", "evaluate")]
+    assert not signal_loaded_after(commands)
+
+
+def test_ar_simulate_loads_signal(tmp_path):
+    """An AR path is filtered by ``scipy.signal.lfilter``, imported where it is used."""
+    cfg = small_config(tmp_path, {
+        "kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
+        "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}})
+    assert signal_loaded_after([["simulate", "--config", cfg, "--out", str(tmp_path / "ar")]])
