@@ -168,25 +168,18 @@ class Levy(Marginal):
         out = np.zeros_like(x)
         pos = x > 0
         xp = x[pos]
-        if self.c >= 1e-200:
-            # tail > 0 needs xp > c / 1491, so the product stays below 1e205
-            out[pos] = self._pdf_product(xp)
-            return out
-        # xp ** -1.5 can overflow (and c / (2 pi) round to 0) where the pdf is
-        # finite; there take the product in logs, leaving every finite value as it is
         with np.errstate(over="ignore", invalid="ignore"):
-            p = self._pdf_product(xp)
+            tail = np.exp(-self.c / (2.0 * xp))
+            # where tail underflows to 0 so does the pdf, and xp ** -1.5 may overflow: inf * 0 is NaN
+            p = np.sqrt(self.c / (2.0 * np.pi)) * np.where(tail > 0, xp, 1.0) ** -1.5 * tail
+            # for a tiny c, xp ** -1.5 can overflow (and c / (2 pi) round to 0) where the
+            # pdf is finite; there take the product in logs, leaving every finite value as it is
             big = ~np.isfinite(p)
             xb = xp[big]
             p[big] = np.exp(0.5 * (np.log(self.c) - np.log(2.0 * np.pi)) - 1.5 * np.log(xb)
                             - self.c / (2.0 * xb))
         out[pos] = p
         return out
-
-    def _pdf_product(self, xp):
-        tail = np.exp(-self.c / (2.0 * xp))
-        # where tail underflows to 0 so does the pdf, and xp ** -1.5 may overflow: inf * 0 is NaN
-        return np.sqrt(self.c / (2.0 * np.pi)) * np.where(tail > 0, xp, 1.0) ** -1.5 * tail
 
     def _quantile(self, p):
         # invert erfc(sqrt(c/(2x))) = p

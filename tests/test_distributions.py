@@ -139,8 +139,7 @@ def test_levy_pdf_keeps_the_product_where_finite_and_logs_where_it_overflows():
     x = np.logspace(-323, 300, 6231)
     for c, overflows in ((1e-300, True), (1e-250, True), (1e-203, True), (1e-200, False),
                          (1.0, False), (1e300, False)):
-        with np.errstate(over="ignore"):  # c / (2 x) overflows for c = 1e300: the pdf is 0 there
-            got, want = Levy(c).pdf(x), levy_pdf_product(c, x)
+        got, want = Levy(c).pdf(x), levy_pdf_product(c, x)
         kept = np.isfinite(want)
         assert np.array_equal(got[kept], want[kept])
         assert np.any(~kept) == overflows
