@@ -159,27 +159,17 @@ class Levy(Marginal):
     _positive = ("c",)
 
     def _cdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = special.erfc(np.sqrt(self.c / (2.0 * x[pos])))
-        return out
+        with np.errstate(all="ignore"):  # x <= 0 is masked out
+            return np.where(x > 0, special.erfc(np.sqrt(self.c / (2.0 * x))), 0.0)
 
     def _pdf(self, x):
-        out = np.zeros_like(x)
-        pos = x > 0
-        xp = x[pos]
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = np.exp(-self.c / (2.0 * xp))
-            # where tail underflows to 0 so does the pdf, and xp ** -1.5 may overflow: inf * 0 is NaN
-            p = np.sqrt(self.c / (2.0 * np.pi)) * np.where(tail > 0, xp, 1.0) ** -1.5 * tail
-            # for a tiny c, xp ** -1.5 can overflow (and c / (2 pi) round to 0) where the
-            # pdf is finite; there take the product in logs, leaving every finite value as it is
-            big = ~np.isfinite(p)
-            xb = xp[big]
-            p[big] = np.exp(0.5 * (np.log(self.c) - np.log(2.0 * np.pi)) - 1.5 * np.log(xb)
-                            - self.c / (2.0 * xb))
-        out[pos] = p
-        return out
+        c = self.c
+        # the product is the more accurate form; where one factor over- or underflows
+        # (or c / (2 pi) rounds to 0) it is 0 or not finite, and the logs take over
+        with np.errstate(all="ignore"):  # x <= 0 is masked out
+            p = np.sqrt(c / (2.0 * np.pi)) * x ** -1.5 * np.exp(-c / (2.0 * x))
+            logp = 0.5 * (np.log(c) - np.log(2.0 * np.pi)) - 1.5 * np.log(x) - c / (2.0 * x)
+            return np.where(x > 0, np.where((p > 0) & (p < np.inf), p, np.exp(logp)), 0.0)
 
     def _quantile(self, p):
         # invert erfc(sqrt(c/(2x))) = p

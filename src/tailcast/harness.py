@@ -29,7 +29,7 @@ import numpy as np
 from . import distributions
 from .csvio import write_csv
 from .distributions import Marginal
-from .errors import ConfigError, DivergedToNonFinite, GridMisaligned
+from .errors import ConfigError, DivergedToNonFinite, DomainError, GridMisaligned
 from .metrics import wasserstein2_samples
 from .objective import (
     PREDICTOR_KINDS,
@@ -526,6 +526,10 @@ def run_table1_benchmark(spec: ExperimentSpec) -> float:
     if not spec.fitted_indices:
         raise ConfigError("prediction_interval", "holds no point outside the forecast sample, "
                                                  "so there is no solve to time")
+    try:  # a batch config's beta may lie outside the online range
+        cfg = replace(spec.descent, mode="online")
+    except DomainError as exc:
+        raise ConfigError(f"descent.{exc.key}", str(exc)) from None
     k = spec.fitted_indices[0]
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
@@ -533,7 +537,6 @@ def run_table1_benchmark(spec: ExperimentSpec) -> float:
     ospec = ObjectiveSpec("Q2", marginal)
     cands = init_candidates(samples, ospec, "unit", kind=spec.predictor_kind)
     p0 = Predictor(spec.predictor_kind, cands[0])
-    cfg = replace(spec.descent, mode="online")
     t_start = time.perf_counter()
     try:
         solve(ospec, samples, p0, cfg, RngStream(spec.seed, STREAM_FIT).generator(k, 0, 1))

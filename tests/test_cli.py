@@ -137,6 +137,28 @@ def test_benchmark_without_a_fitted_point_exit_code_before_simulating(tmp_path, 
     assert not out.exists()
 
 
+def test_benchmark_beta_outside_the_online_range_exit_code_before_simulating(tmp_path, capsys,
+                                                                            monkeypatch):
+    """``benchmark`` times an online solve: a batch config's beta <= 0.5
+    loads, then names its key before anything is simulated."""
+    import tailcast.harness
+    from tailcast.cli import _load_config
+
+    def no_simulation(*args):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "simulate", no_simulation)
+    config = spec_to_dict(_load_config("ar3"))
+    assert config["descent"]["mode"] == "batch"
+    config["descent"]["beta"] = 0.4
+    cfg = tmp_path / "ar3.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'descent.beta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exit_code_and_message(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert run(["fit", "--config", missing, "--out", str(tmp_path / "o")]) == 2

@@ -95,29 +95,9 @@ def test_levy_cdf_and_support():
     assert m.quantile(0.5) == pytest.approx(1.0 / (2.0 * 0.4769362762044699**2), rel=1e-12)
 
 
-def levy_pdf_formula(c, x):
-    """The closed form with nothing guarded: NaN where x ** -1.5 overflows to
-    inf and the exponential underflows to 0 (below x ~ 3e-206 at c = 1)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.sqrt(c / (2.0 * np.pi)) * x ** -1.5 * np.exp(-c / (2.0 * x))
-
-
-def test_levy_pdf_is_zero_where_its_exponential_underflows():
-    with np.errstate(over="ignore"):
-        for x in (1e-320, 1e-250, 1e-207):
-            assert Levy(1.0).pdf(x) == 0.0
-        x = np.logspace(-300, 300, 6001)
-        for c in (1e-3, 1.0, 2.0, 1e3):
-            got, want = Levy(c).pdf(x), levy_pdf_formula(c, x)
-            defined = ~np.isnan(want)
-            assert np.array_equal(got[defined], want[defined])
-            assert np.all(got[~defined] == 0.0)
-        assert not np.all(defined)
-
-
 def levy_pdf_product(c, x):
     """The pdf as a product of floats, 0 where the exponential underflows;
-    ``Levy.pdf`` keeps its bits wherever it is finite."""
+    ``Levy.pdf`` keeps its bits wherever it is positive and finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         tail = np.exp(-c / (2.0 * x))
         return np.sqrt(c / (2.0 * np.pi)) * np.where(tail > 0, x, 1.0) ** -1.5 * tail
@@ -129,24 +109,46 @@ def levy_pdf_decimal(c, x):
         ctx.prec = 40
         c, x = ctx.create_decimal(c), ctx.create_decimal(x)
         pi = Decimal("3.141592653589793238462643383279502884197")
-        return float((c / (2 * pi)).sqrt() * x ** Decimal("-1.5") * (-c / (2 * x)).exp())
+        return float((c / (2 * pi)).sqrt() / (x * x.sqrt()) * (-c / (2 * x)).exp())
 
 
-def test_levy_pdf_keeps_the_product_where_finite_and_logs_where_it_overflows():
-    """x ** -1.5 overflows below x ~ 3e-206, before a tiny c scales the
-    product back into range; there the pdf is finite all the same."""
-    assert Levy(1e-300).pdf(1e-299) == pytest.approx(1.200038948430136e298, rel=1e-12)
+def test_levy_pdf_keeps_the_product_where_positive_and_finite_and_logs_elsewhere():
+    """x ** -1.5 overflows below x ~ 3e-206 and underflows above x ~ 1e205,
+    and c / (2 pi) rounds to 0 for a subnormal c: the product is then 0 or
+    not finite where the pdf is a normal float all the same."""
+    assert Levy(5e-324).pdf(1.0) == pytest.approx(8.8675244430181e-163, rel=1e-12, abs=0.0)
+    assert Levy(1e300).pdf(1e302) == pytest.approx(3.9695254747701e-304, rel=1e-12, abs=0.0)
+    assert Levy(1e-300).pdf(1e-299) == pytest.approx(1.200038948430136e298, rel=1e-12, abs=0.0)
     x = np.logspace(-323, 300, 6231)
-    for c, overflows in ((1e-300, True), (1e-250, True), (1e-203, True), (1e-200, False),
-                         (1.0, False), (1e300, False)):
+    for c in (5e-324, 1e-300, 1e-250, 1e-203, 1e-200, 1e-3, 1.0, 1e3, 1e300):
         got, want = Levy(c).pdf(x), levy_pdf_product(c, x)
-        kept = np.isfinite(want)
+        kept = (want > 0) & np.isfinite(want)
         assert np.array_equal(got[kept], want[kept])
-        assert np.any(~kept) == overflows
         for xi, pi in zip(x[~kept], got[~kept]):
-            assert pi == pytest.approx(levy_pdf_decimal(c, xi), rel=1e-12)
-    # a subnormal scale: the product is 0 * inf = NaN, the log form is finite or past the float range
-    assert not np.any(np.isnan(Levy(5e-324).pdf(x)))
+            ref = levy_pdf_decimal(c, xi)
+            if np.finfo(float).tiny <= ref < np.inf:
+                assert pi == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert np.all(Levy(c).pdf(np.array([0.0, -0.0, -5e-324, -1.0, -1e300])) == 0.0)
+
+
+PACKED_MODELS = [Gaussian(0.3, 2.0), Cauchy(-0.5, 1.5), Levy(5e-324), Levy(0.8), Levy(1e300),
+                 StudentT(0.0, 1.0, 0.7), StudentT(0.0, 1.0, 0.8)]
+
+
+@pytest.mark.parametrize("m", PACKED_MODELS, ids=lambda m: repr(m))
+def test_kernels_on_a_packed_block_equal_one_call_per_value(m):
+    """Packed row subgradients evaluate several chains' rows in one kernel
+    call; each value must come out as it would alone."""
+    g = RngStream(5, 0).generator()
+    x = np.concatenate([g.standard_cauchy(500) ** 3 * 10.0 ** g.integers(-8, 9, 500),
+                        [0.0, -0.0, -1.0, -2.5, 5e-324, 1e300, -1e300]])
+    g.shuffle(x)
+    with np.errstate(over="ignore"):  # Gaussian, Cauchy and Student-t overflow at 1e300
+        for kernel in (m._pdf, m._cdf):
+            alone = np.concatenate([kernel(x[i:i + 1]) for i in range(x.size)])
+            for size in range(1, 9):
+                packed = np.concatenate([kernel(x[i:i + size]) for i in range(0, x.size, size)])
+                assert np.array_equal(packed.view(np.uint64), alone.view(np.uint64)), size
 
 
 def test_levy_sampler_is_inverse_square_normal():
