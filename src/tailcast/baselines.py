@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput, SingularCovariance
+from .errors import DomainError, NonFiniteInput
 from .objective import ForecastDesign
 
 __all__ = [
@@ -66,7 +66,7 @@ def _chol_solve(so: GaussianSecondOrder, rhs: np.ndarray) -> np.ndarray:
     try:
         factor = cho_factor(so.sigma, lower=True)
     except LinAlgError as exc:
-        raise SingularCovariance(f"covariance is not positive definite: {exc}") from None
+        raise DomainError(f"covariance is not positive definite: {exc}") from None
     return cho_solve(factor, rhs)
 
 
@@ -80,7 +80,7 @@ def exact_excursion_weights(so: GaussianSecondOrder) -> np.ndarray:
     w = _chol_solve(so, so.c)
     s = float(so.c @ w)
     if s <= 0:
-        raise SingularCovariance("cross-covariance quadratic form is not positive")
+        raise DomainError("cross-covariance quadratic form is not positive")
     return np.sqrt(so.target_var / s) * w
 
 

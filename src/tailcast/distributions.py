@@ -17,12 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
-from .errors import (
-    DegenerateData,
-    DomainError,
-    InsufficientData,
-    NonFiniteInput,
-)
+from .errors import DomainError, NonFiniteInput
 
 __all__ = [
     "Marginal",
@@ -258,9 +253,9 @@ def _prepared(data):
     if not np.all(np.isfinite(data)):
         raise NonFiniteInput("data contains non-finite values")
     if data.size < _MIN_OBSERVATIONS:
-        raise InsufficientData(f"need at least {_MIN_OBSERVATIONS} observations, got {data.size}")
+        raise DomainError(f"need at least {_MIN_OBSERVATIONS} observations, got {data.size}")
     if np.all(data == data[0]):
-        raise DegenerateData("all observations identical")
+        raise DomainError("all observations identical")
     return data
 
 
@@ -269,7 +264,7 @@ def _fit_student_t(data):
     q75 = float(np.quantile(data, 0.75)) - med
     q95 = float(np.quantile(data, 0.95)) - med
     if q75 <= 0 or q95 <= q75:
-        raise DegenerateData("upper quantiles do not separate; cannot fit scale/tail")
+        raise DomainError("upper quantiles do not separate; cannot fit scale/tail")
 
     def mismatch(nu):
         # inner step: sigma implied by the 0.75 quantile at this nu

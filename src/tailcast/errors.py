@@ -1,7 +1,16 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package: one per decision a caller makes.
 
-Everything derives from ValueError/RuntimeError so callers that do not care
-about the fine distinctions can catch the built-ins.
+- ``ConfigError``: the run configuration is at fault; the CLI exits 2 and
+  names the offending ``key``.
+- ``DomainError``: an argument, array or setting is outside what the
+  operation accepts; the harness turns one that carries a ``key`` into a
+  ``ConfigError`` naming that key.
+- ``NonFiniteInput``: an input holds NaN or infinity; ``solve_lockstep``
+  names the ``chain`` it came from.
+- ``DivergedToNonFinite``: descent left the finite numbers; ``run_fit``
+  keeps its ``last_iterate``.
+
+Each derives from ValueError or RuntimeError, which the CLI turns into exit 1.
 """
 
 import reprlib
@@ -11,57 +20,13 @@ class NonFiniteInput(ValueError):
     """An input array contains NaN or infinity."""
 
 
-class Unsupported(ValueError):
-    """The requested operation is not available for this configuration."""
-
-
 class DomainError(ValueError):
-    """A scalar argument lies outside the mathematical domain; ``key``, when
+    """An argument lies outside what the operation accepts; ``key``, when
     given, names the field it came from."""
 
     def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
-
-
-class InsufficientData(ValueError):
-    """Too few observations to run the estimator."""
-
-
-class DegenerateData(ValueError):
-    """All observations identical; scale estimation impossible."""
-
-
-class InvalidGrid(ValueError):
-    """A time grid has non-positive step or inconsistent bounds."""
-
-
-class GridMisaligned(ValueError):
-    """A time point does not sit on the sampling lattice."""
-
-
-class NonStationaryCoefficients(ValueError):
-    """Autoregressive coefficients admit a characteristic root inside the unit disc."""
-
-
-class LengthMismatch(ValueError):
-    """Paired arrays differ in length."""
-
-
-class NoValidShifts(ValueError):
-    """The observation window admits no learning samples for this design."""
-
-
-class IndexOutOfRange(IndexError):
-    """A row index is outside 0..N-1."""
-
-
-class MissingBootstrap(ValueError):
-    """A penalized functional needs a bootstrap draw that was not supplied."""
-
-
-class SingularCovariance(ValueError):
-    """The covariance matrix is not positive definite."""
 
 
 class DivergedToNonFinite(RuntimeError):

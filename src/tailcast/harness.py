@@ -29,7 +29,7 @@ import numpy as np
 from . import distributions
 from .csvio import write_csv
 from .distributions import Marginal
-from .errors import ConfigError, DivergedToNonFinite, DomainError, GridMisaligned
+from .errors import ConfigError, DivergedToNonFinite, DomainError
 from .metrics import wasserstein2_samples
 from .objective import (
     PREDICTOR_KINDS,
@@ -86,7 +86,7 @@ def _on_lattice(key, times, h) -> list:
     off the lattice raises ConfigError naming ``key``."""
     try:
         return [_aligned_index(t, h, "t") for t in times]
-    except GridMisaligned as exc:
+    except DomainError as exc:
         raise ConfigError(key, str(exc)) from None
 
 
@@ -364,7 +364,7 @@ def _fit_errors(methods, t):
     or the lockstep chain the error names."""
     try:
         yield
-    except (ValueError, RuntimeError, IndexError) as exc:
+    except (ValueError, RuntimeError) as exc:
         message = f"{methods[getattr(exc, 'chain', 0)]} fit at t={t:g}: {exc}"
         if isinstance(exc, DivergedToNonFinite):
             raise DivergedToNonFinite(message, last_iterate=exc.last_iterate) from exc
@@ -447,12 +447,8 @@ class EvalReport:
 def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, r: int) -> np.ndarray:
     """Values of one fresh trajectory at the needed lattice indices."""
     rng = RngStream(spec.seed, STREAM_EVAL).generator(r)
-    if isinstance(spec.process, ArStudentT):
-        # the recursion needs its past: simulate from lattice origin
-        length = int(needed.max()) + 1
-        traj = simulate(spec.process, 0.0, spec.h, length, rng)
-        return traj.values[needed]
-    k0 = int(needed.min())
+    # the AR recursion needs its past: simulate from lattice origin
+    k0 = 0 if isinstance(spec.process, ArStudentT) else int(needed.min())
     length = int(needed.max()) - k0 + 1
     traj = simulate(spec.process, _time_of(k0, spec.h), spec.h, length, rng)
     return traj.values[needed - k0]
@@ -476,7 +472,7 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     if threads is None:
         threads = (os.cpu_count() or 1) if isinstance(spec.process, ArStudentT) else 1
     if threads < 1:
-        raise ConfigError("threads", "must be >= 1")
+        raise DomainError("threads must be >= 1", key="threads")
     marginal = fits.marginal
     offsets = np.array(spec.offset_indices, dtype=int)
     grid = np.array(spec.grid_indices, dtype=int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, InsufficientData, LengthMismatch, NonFiniteInput
+from .errors import DomainError, NonFiniteInput
 
 __all__ = [
     "PairedSample",
@@ -41,9 +41,9 @@ class PairedSample:
         a = np.asarray(self.a, dtype=float).ravel()
         b = np.asarray(self.b, dtype=float).ravel()
         if a.size != b.size:
-            raise LengthMismatch(f"paired sample lengths differ: {a.size} vs {b.size}")
+            raise DomainError(f"paired sample lengths differ: {a.size} vs {b.size}")
         if a.size < 1:
-            raise LengthMismatch("paired sample must be non-empty")
+            raise DomainError("paired sample must be non-empty")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise NonFiniteInput("paired sample contains non-finite values")
         object.__setattr__(self, "a", a)
@@ -119,7 +119,7 @@ def gini_empirical(s: PairedSample) -> float:
     1/3 under independence, 1/2 for counter-monotone pairs.
     """
     if s.n < 10:
-        raise InsufficientData("need at least 10 pairs")
+        raise DomainError("need at least 10 pairs")
     diag = _copula_diagonal(s, _COPULA_GRID)
     g = 1.0 - 2.0 * float(np.trapezoid(diag, _COPULA_GRID))
     return float(np.clip(g, 0.0, 0.5))
@@ -133,7 +133,7 @@ def max_excursion_distance_empirical(s: PairedSample):
     level is the empirical quantile of the pooled sample at the argmax.
     """
     if s.n < 10:
-        raise InsufficientData("need at least 10 pairs")
+        raise DomainError("need at least 10 pairs")
     diag = _copula_diagonal(s, _COPULA_GRID)
     gap = _COPULA_GRID - diag
     k = int(np.argmax(gap))
@@ -152,7 +152,7 @@ def wasserstein2_to_uniform(y) -> float:
     if not np.all(np.isfinite(y)):
         raise NonFiniteInput("y contains non-finite values")
     if y.size < 1:
-        raise LengthMismatch("y must be non-empty")
+        raise DomainError("y must be non-empty")
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise DomainError("y must lie in [0, 1]")
     n = y.size
@@ -184,7 +184,7 @@ def wasserstein2_samples(a, b) -> float:
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size < 1 or b.size < 1:
-        raise LengthMismatch("samples must be non-empty")
+        raise DomainError("samples must be non-empty")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise NonFiniteInput("samples contain non-finite values")
     a = np.sort(a)

@@ -43,15 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Marginal
-from .errors import (
-    DomainError,
-    IndexOutOfRange,
-    InvalidGrid,
-    LengthMismatch,
-    MissingBootstrap,
-    NoValidShifts,
-    NonFiniteInput,
-)
+from .errors import DomainError, NonFiniteInput
 from .processes import Trajectory, _aligned_index
 from .rng import as_generator
 
@@ -85,19 +77,19 @@ class ForecastDesign:
 
     def __post_init__(self):
         if self.h <= 0 or not np.isfinite(self.h):
-            raise InvalidGrid("h must be positive and finite")
+            raise DomainError("h must be positive and finite")
         off = tuple(float(v) for v in self.offsets)
         if len(off) < 1:
-            raise InvalidGrid("need at least one forecast offset")
+            raise DomainError("need at least one forecast offset")
         w = (float(self.window[0]), float(self.window[1]))
         if not np.all(np.isfinite(off + w + (self.target,))):
             raise NonFiniteInput("offsets, target and window must be finite")
         target = _aligned_index(self.target, self.h, "target")
         if target in [_aligned_index(v, self.h, "offset") for v in off]:
-            raise InvalidGrid("target must not belong to the forecast sample")
+            raise DomainError("target must not belong to the forecast sample")
         w_lo, w_hi = (_aligned_index(v, self.h, "window") for v in w)
         if w_hi < w_lo:
-            raise InvalidGrid("window upper bound below lower bound")
+            raise DomainError("window upper bound below lower bound")
         object.__setattr__(self, "offsets", off)
         object.__setattr__(self, "window", w)
 
@@ -116,9 +108,9 @@ class LearningSamples:
         X = np.asarray(self.X, dtype=float)
         s = np.asarray(self.shifts, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.size or s.size != y.size:
-            raise LengthMismatch("y, X rows and shifts must agree in length")
+            raise DomainError("y, X rows and shifts must agree in length")
         if y.size < 1:
-            raise NoValidShifts("no learning rows")
+            raise DomainError("no learning rows")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
             raise NonFiniteInput("learning samples contain non-finite values")
         object.__setattr__(self, "y", y)
@@ -228,7 +220,7 @@ def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=Non
     are subsampled uniformly without replacement and re-sorted by shift.
     """
     if abs(design.h - traj.h) > 1e-12:
-        raise InvalidGrid(f"design step {design.h} differs from trajectory step {traj.h}")
+        raise DomainError(f"design step {design.h} differs from trajectory step {traj.h}")
     h = traj.h
     # absolute lattice indices, then integer positions in the trajectory
     t0 = _aligned_index(traj.t0, h, "t0")
@@ -237,7 +229,7 @@ def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=Non
     kmin = max(0, w_lo) - min(pts)
     kmax = min(traj.values.size - 1, w_hi) - max(pts)
     if kmax < kmin:
-        raise NoValidShifts("observation window shorter than the design span")
+        raise DomainError("observation window shorter than the design span")
     ks = np.arange(kmin, kmax + 1)
     if max_n is not None and ks.size > int(max_n):
         if rng is None:
@@ -254,19 +246,19 @@ def _row_indices(spec, samples, j, bootstrap_index):
     b = None
     if spec.variant == "Q3":
         if bootstrap_index is None:
-            raise MissingBootstrap("Q3 needs a bootstrap row index")
+            raise DomainError("Q3 needs a bootstrap row index")
         b = int(bootstrap_index)
     j = int(j)
     for r in (j, b):
         if r is not None and not (0 <= r < samples.count):
-            raise IndexOutOfRange(f"row {r} outside 0..{samples.count - 1}")
+            raise DomainError(f"row {r} outside 0..{samples.count - 1}")
     return j, b
 
 
 def _bootstrap_rows(rng, count):
     """One bootstrap resample of the row indices, drawn from rng."""
     if rng is None:
-        raise MissingBootstrap("Q3 evaluation needs an rng")
+        raise DomainError("Q3 evaluation needs an rng")
     return as_generator(rng).integers(0, count, size=count)
 
 

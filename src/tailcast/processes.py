@@ -24,13 +24,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import Cauchy, Gaussian, Levy, Marginal
-from .errors import (
-    GridMisaligned,
-    InvalidGrid,
-    NonFiniteInput,
-    NonStationaryCoefficients,
-    Unsupported,
-)
+from .errors import DomainError, NonFiniteInput
 
 __all__ = [
     "Trajectory",
@@ -52,16 +46,16 @@ KERNEL_SUPPORT = 251  # taps at integer lags 0..250; both stable norms equal 1 e
 def _aligned_index(t, h, what) -> int:
     """The index k of time t on the lattice hZ, the one time-to-index rule.
 
-    t must lie within 1e-9 of k*h, else GridMisaligned names it as ``what``.
+    t must lie within 1e-9 of k*h, else DomainError names it as ``what``.
     The float k*h itself passes for every |k| up to far beyond 10**9, so
     times built as k*h get their indices k however far from 0 they lie.
     """
     q = t / h
     if not math.isfinite(q):
-        raise GridMisaligned(f"{what}={t} lies beyond the float range of multiples of h={h}")
+        raise DomainError(f"{what}={t} lies beyond the float range of multiples of h={h}")
     k = round(q)
     if abs(t - k * h) > 1e-9:
-        raise GridMisaligned(f"{what}={t} is not a multiple of h={h}")
+        raise DomainError(f"{what}={t} is not a multiple of h={h}")
     return k
 
 
@@ -75,10 +69,10 @@ class Trajectory:
 
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.h)) or self.h <= 0:
-            raise InvalidGrid("need finite t0 and step h > 0")
+            raise DomainError("need finite t0 and step h > 0")
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size < 1:
-            raise InvalidGrid("trajectory must hold at least one value")
+            raise DomainError("trajectory must hold at least one value")
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("trajectory values contain NaN or infinity")
         object.__setattr__(self, "values", v)
@@ -88,11 +82,11 @@ class Trajectory:
         return self.t0 + self.h * np.arange(self.values.size)
 
     def index_of(self, t: float) -> int:
-        """Grid index of time t; GridMisaligned if t or t0 is off the lattice
+        """Grid index of time t; DomainError if t or t0 is off the lattice
         hZ, or t lies outside the trajectory."""
         i = _aligned_index(t, self.h, "t") - _aligned_index(self.t0, self.h, "t0")
         if not (0 <= i < self.values.size):
-            raise GridMisaligned(f"t={t} outside the simulated window")
+            raise DomainError(f"t={t} outside the simulated window")
         return i
 
 
@@ -119,7 +113,7 @@ class StableMovingAverage:
 
     def __post_init__(self):
         if self.alpha not in (0.5, 1.0):
-            raise Unsupported(f"alpha must be 0.5 or 1.0, got {self.alpha}")
+            raise DomainError(f"alpha must be 0.5 or 1.0, got {self.alpha}")
 
     @property
     def kernel(self) -> np.ndarray:
@@ -152,7 +146,7 @@ class ArStudentT:
         a = np.array(phi[::-1])  # a[k-1] multiplies lag k
         roots = np.roots(np.concatenate([-a[::-1], [1.0]]))
         if np.any(np.abs(roots) <= 1.0):
-            raise NonStationaryCoefficients(
+            raise DomainError(
                 f"characteristic roots {np.abs(roots)} must lie outside the unit circle"
             )
         object.__setattr__(self, "phi", phi)
@@ -181,12 +175,12 @@ def default_kernel(alpha: float) -> np.ndarray:
         return np.exp(-0.02 * x) * (1.0 - np.exp(-0.02)) / (1.0 - np.exp(-5.02))
     if alpha == 0.5:
         return np.exp(-0.02 * x) * (1.0 - np.exp(-0.01)) ** 2 / (1.0 - np.exp(-2.51)) ** 2
-    raise Unsupported(f"no default kernel for alpha={alpha}")
+    raise DomainError(f"no default kernel for alpha={alpha}")
 
 
 def _check_grid(t0, h, length):
     if not (np.isfinite(t0) and np.isfinite(h)) or h <= 0 or int(length) < 1:
-        raise InvalidGrid("need finite t0, h > 0 and length >= 1")
+        raise DomainError("need finite t0, h > 0 and length >= 1")
     return float(t0), float(h), int(length)
 
 
@@ -231,7 +225,7 @@ def simulate_ar(spec: ArStudentT, t0, h, length, burn_in, rng) -> Trajectory:
     """AR(p) path from zero initial state with the first burn_in steps dropped."""
     t0, h, length = _check_grid(t0, h, length)
     if int(burn_in) < 0:
-        raise InvalidGrid("burn_in must be >= 0")
+        raise DomainError("burn_in must be >= 0")
     burn_in = int(burn_in)
     innov = spec.innovation.sample(burn_in + length, rng)
     a = np.concatenate([[1.0], -spec.lag_coeffs])

@@ -4,6 +4,7 @@ import reprlib
 import pytest
 
 from tailcast.cli import PRESETS, build_parser, run
+from tailcast.errors import ConfigError, DivergedToNonFinite, DomainError, NonFiniteInput
 from tailcast.harness import spec_from_dict, spec_to_dict
 
 
@@ -346,3 +347,40 @@ def test_threads_is_a_usage_error_where_it_does_nothing(tmp_path, capsys, comman
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_runtime_failure_exit_code(tmp_path, capsys):
+    """A fit that fails at run time exits 1 with its message: gamma = 1e308
+    drives the penalized predictor out of the finite numbers. On the way the
+    objective value and the row predictions overflow, and numpy warns."""
+    from tailcast.cli import _load_config
+
+    cfg = tmp_path / "gauss.json"
+    cfg.write_text(json.dumps(dict(spec_to_dict(_load_config("gauss_extrap")),
+                                   prediction_interval=[31.0, 31.04], replicates=20,
+                                   gamma=1e308)))
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        code = run(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: penalized fit at t=31: row prediction is not finite\n"
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (DomainError("no start"), 1, "error: no start\n"),
+    (NonFiniteInput("x contains non-finite values"), 1, "error: x contains non-finite values\n"),
+    (DivergedToNonFinite("non-finite iterate at step 3"), 1,
+     "error: non-finite iterate at step 3\n"),
+    (ConfigError("gamma", "must be finite"), 2, "error: config key 'gamma': must be finite\n"),
+], ids=["DomainError", "NonFiniteInput", "DivergedToNonFinite", "ConfigError"])
+def test_fit_error_exit_code(tmp_path, capsys, monkeypatch, exc, code, err):
+    """Each error type the package raises reaches the shell as its one-line
+    message and exit code, not as a traceback."""
+    import tailcast.harness
+
+    def failing_fit(spec):
+        raise exc
+
+    monkeypatch.setattr(tailcast.harness, "run_fit", failing_fit)
+    assert run(["fit", "--config", tiny_config(tmp_path), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == err

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.errors import (
-    DomainError,
-    IndexOutOfRange,
-    InvalidGrid,
-    LengthMismatch,
-    MissingBootstrap,
-    NonFiniteInput,
-    NoValidShifts,
-)
+from tailcast.errors import DomainError, NonFiniteInput
 from tailcast.objective import (
     ForecastDesign,
     LearningSamples,
@@ -73,17 +65,15 @@ def make_samples(n_rows=40, n_pred=3, seed=0):
 
 
 def test_design_validation():
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="target must not belong to the forecast sample"):
         ForecastDesign(offsets=(30.0,), target=30.0, h=0.02, window=(0.0, 29.98))
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="need at least one forecast offset"):
         ForecastDesign(offsets=(), target=31.0, h=0.02, window=(0.0, 29.98))
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="window upper bound below lower bound"):
         ForecastDesign(offsets=(30.0,), target=31.0, h=0.02, window=(10.0, 0.0))
-    from tailcast.errors import GridMisaligned
-
-    with pytest.raises(GridMisaligned):
+    with pytest.raises(DomainError, match=r"^offset=30\.005 is not a multiple of h"):
         ForecastDesign(offsets=(30.005,), target=31.0, h=0.02, window=(0.0, 29.98))
-    with pytest.raises(GridMisaligned):  # a window end off the lattice is not rounded
+    with pytest.raises(DomainError, match=r"^window=29\.99 is not a multiple of h"):  # not rounded
         ForecastDesign(offsets=(30.0,), target=31.0, h=0.02, window=(0.0, 29.99))
 
 
@@ -128,7 +118,7 @@ def test_extraction_values_match_trajectory():
 def test_extraction_no_valid_shifts():
     g = RngStream(103, 0).generator()
     traj = simulate_gauss_exp_cov(0.0, 0.02, 10, g)  # window way too short
-    with pytest.raises(NoValidShifts):
+    with pytest.raises(DomainError, match="observation window shorter than the design span"):
         extract_learning_samples(traj, gauss_design())
 
 
@@ -147,9 +137,9 @@ def test_extraction_subsample():
 
 
 def test_learning_samples_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DomainError, match="y, X rows and shifts must agree in length"):
         LearningSamples(np.zeros(3), np.zeros((2, 4)), np.zeros(3))
-    with pytest.raises(NoValidShifts):
+    with pytest.raises(DomainError, match="^no learning rows$"):
         LearningSamples(np.zeros(0), np.zeros((0, 4)), np.zeros(0))
     with pytest.raises(NonFiniteInput):
         LearningSamples(np.array([np.inf]), np.zeros((1, 4)), np.zeros(1))
@@ -261,11 +251,11 @@ def test_q3_requires_bootstrap():
     samples = make_samples()
     spec = ObjectiveSpec("Q3", GAUSS, gamma=5.0)
     p = Predictor("linear", np.ones(3))
-    with pytest.raises(MissingBootstrap):
+    with pytest.raises(DomainError, match="Q3 needs a bootstrap row index"):
         subgradient(spec, p, samples, 0)
-    with pytest.raises(MissingBootstrap):
+    with pytest.raises(DomainError, match="Q3 evaluation needs an rng"):
         objective_value(spec, p, samples)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=f"^row {samples.count} outside 0\\.\\.{samples.count - 1}$"):
         subgradient(spec, p, samples, 0, bootstrap_index=samples.count)
 
 
@@ -273,9 +263,9 @@ def test_row_index_range():
     samples = make_samples()
     spec = ObjectiveSpec("Q2", GAUSS)
     p = Predictor("linear", np.ones(3))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=f"^row {samples.count} outside 0\\.\\.{samples.count - 1}$"):
         subgradient(spec, p, samples, samples.count)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(DomainError, match=r"^row -1 outside 0\.\."):
         subgradient(spec, p, samples, -1)
 
 

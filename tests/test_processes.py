@@ -3,13 +3,7 @@ import pytest
 from scipy import stats
 
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
-from tailcast.errors import (
-    GridMisaligned,
-    InvalidGrid,
-    NonFiniteInput,
-    NonStationaryCoefficients,
-    Unsupported,
-)
+from tailcast.errors import DomainError, NonFiniteInput
 from tailcast.processes import (
     ArStudentT,
     GaussExpCov,
@@ -37,20 +31,23 @@ def test_trajectory_times_and_index():
 
 def test_trajectory_index_misaligned():
     tr = Trajectory(0.0, 0.1, np.arange(5.0))
-    with pytest.raises(GridMisaligned):
+    with pytest.raises(DomainError, match=r"^t=0\.15 is not a multiple of h"):
         tr.index_of(0.15)
-    with pytest.raises(GridMisaligned):
+    with pytest.raises(DomainError, match="outside the simulated window"):
         tr.index_of(0.5)  # outside window
-    with pytest.raises(GridMisaligned):  # t0 off the lattice hZ
-        Trajectory(0.01, 0.1, np.arange(5.0)).index_of(0.11)
+    off = Trajectory(0.01, 0.1, np.arange(5.0))  # t0 off the lattice hZ
+    with pytest.raises(DomainError, match=r"^t=0\.11 is not a multiple of h"):
+        off.index_of(0.11)
+    with pytest.raises(DomainError, match=r"^t0=0\.01 is not a multiple of h"):
+        off.index_of(0.1)
 
 
 def test_trajectory_validation():
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="need finite t0 and step h"):
         Trajectory(0.0, 0.0, np.arange(3.0))
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="need finite t0 and step h"):
         Trajectory(0.0, -0.1, np.arange(3.0))
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(DomainError, match="must hold at least one value"):
         Trajectory(0.0, 0.1, np.array([]))
     with pytest.raises(NonFiniteInput):
         Trajectory(0.0, 0.1, np.array([1.0, np.nan]))
@@ -79,9 +76,9 @@ def test_kernel_support_is_exactly_251_taps():
 
 
 def test_kernel_unsupported_alpha():
-    with pytest.raises(Unsupported):
+    with pytest.raises(DomainError, match="no default kernel for alpha=1.5"):
         default_kernel(1.5)
-    with pytest.raises(Unsupported):
+    with pytest.raises(DomainError, match="alpha must be 0.5 or 1.0, got 1.5"):
         StableMovingAverage(1.5)
 
 
@@ -188,7 +185,7 @@ def test_levy_ma_values_positive():
 def test_stable_ma_lattice_alignment():
     spec = StableMovingAverage(1.0)
     g = RngStream(44, 5).generator()
-    with pytest.raises(GridMisaligned):
+    with pytest.raises(DomainError, match=r"^t0=0\.01 is not a multiple of h"):
         simulate_stable_ma(spec, 0.01, 0.02, 10, g)  # t0 off the lattice
     traj = simulate_stable_ma(spec, -2.0, 0.5, 10, g)
     assert traj.t0 == -2.0
@@ -217,9 +214,9 @@ def test_ar_coefficient_order_and_roots():
 
 
 def test_ar_nonstationary_rejected():
-    with pytest.raises(NonStationaryCoefficients):
+    with pytest.raises(DomainError, match="must lie outside the unit circle"):
         ArStudentT((1.2,), Cauchy(0.0, 1.0))
-    with pytest.raises(NonStationaryCoefficients):
+    with pytest.raises(DomainError, match="must lie outside the unit circle"):
         ArStudentT((0.3, 0.3, 0.5), Cauchy(0.0, 1.0))  # coefficients sum to 1.1
 
 

@@ -102,3 +102,16 @@ def test_ar_simulate_loads_signal(tmp_path):
         "kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
         "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}})
     assert signal_loaded_after([["simulate", "--config", cfg, "--out", str(tmp_path / "ar")]])
+
+
+def test_readme_library_tour_runs():
+    """The README's "Library tour" block runs as documented in a fresh
+    interpreter, importing each name from its own submodule."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    weights, metrics = fresh_interpreter(code).splitlines()
+    assert weights == "[0. 0. 1.]"
+    gini, excursion = (float(v) for v in metrics.split())
+    assert gini == pytest.approx(1 / 3, abs=0.005)  # independent pairs
+    assert excursion == pytest.approx(1 / 3, abs=0.005)
