@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import reprlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -488,6 +487,8 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
             V[r] = _replicate_values(spec, needed, r)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # by default, AR evaluation alone pools
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(workers)))
     else:

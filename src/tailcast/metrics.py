@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NonFiniteInput
 
@@ -210,4 +209,6 @@ def gaussian_copula_diag(rho: float, x: float) -> float:
         raise DomainError("x must lie in [0, 1]")
     if x == 0.0 or x == 1.0:
         return float(x)
+    from scipy import special  # only the Gaussian copula needs it
+
     return float(x - 2.0 * special.owens_t(special.ndtri(x), np.tan(np.arccos(rho) / 2.0)))

@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import tailcast.distributions
 from tailcast.distributions import (
     Cauchy,
     Gaussian,
@@ -144,6 +145,26 @@ def test_kernels_on_a_packed_block_equal_one_call_per_value(m):
             for size in range(1, 9):
                 packed = np.concatenate([kernel(x[i:i + size]) for i in range(0, x.size, size)])
                 assert np.array_equal(packed.view(np.uint64), alone.view(np.uint64)), size
+
+
+STANDARD_ARGS = np.array([s * v for v in (0.0, 5e-324, 1e-300, 1.0, 1e150, 1e300) for s in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("m", [Gaussian(), Cauchy(), StudentT(0.0, 1.0, 0.8),
+                               Gaussian(-0.0, 1.0), Cauchy(-0.0, 1.0), StudentT(-0.0, 1.0, 0.8)],
+                         ids=repr)
+def test_standard_law_skips_affine_map_bit_for_bit(m, monkeypatch):
+    """A law with mu = 0 and sigma = 1 hands its kernels x itself; they must
+    give the bytes of the explicit (x - mu) / sigma, on both zeros,
+    subnormals and values whose square overflows."""
+    x = STANDARD_ARGS
+    with np.errstate(over="ignore"):  # z * z overflows at 1e150 and beyond
+        if not np.signbit(m.mu):
+            assert m._z(x).tobytes() == ((x - 0.0) / 1.0).tobytes()
+        shortcut = [kernel(x).tobytes() for kernel in (m._cdf, m._pdf)]
+        monkeypatch.setattr(tailcast.distributions._LocationScale, "_z",
+                            lambda self, x: (x - self.mu) / self.sigma)
+        assert [kernel(x).tobytes() for kernel in (m._cdf, m._pdf)] == shortcut
 
 
 def test_levy_sampler_is_inverse_square_normal():

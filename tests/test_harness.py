@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import fields
 from typing import get_args
 
@@ -378,8 +379,9 @@ def test_eval_rejects_threads_below_one(tiny_run):
 
 
 def record_pools(monkeypatch) -> list:
-    """Replace run_eval's pool by a stand-in that runs the replicates in this
-    thread, so no thread is started; returns the worker counts it is given."""
+    """Replace run_eval's pool, which it imports from ``concurrent.futures``
+    when it pools, by a stand-in that runs the replicates in this thread, so
+    no thread is started; returns the worker counts it is given."""
     sizes = []
 
     class Recorder:
@@ -395,7 +397,7 @@ def record_pools(monkeypatch) -> list:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(tailcast.harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     return sizes
 
 
@@ -458,7 +460,7 @@ def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
         order.append(r)
         return real(spec, needed, r)
 
-    monkeypatch.setattr(tailcast.harness, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(tailcast.harness, "_replicate_values", replicate_values)
     strided = run_eval(spec, fits, threads=3)
     assert tasks == [[0, 1, 2]]

@@ -49,39 +49,41 @@ def test_package_exports_only_its_version():
 
 def test_distributions_import_leaves_signal_and_harness_unloaded():
     out = fresh_interpreter("import sys, tailcast.distributions; "
-                            "print([m for m in ('scipy.signal', 'tailcast.harness') "
+                            "print([m for m in ('scipy.signal', 'scipy.special', 'tailcast.harness') "
                             "if m in sys.modules])")
     assert out == "[]"
 
 
-LAZY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+LAZY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.special")
 
 
 def test_cli_import_leaves_signal_unloaded():
     """``import tailcast.cli`` loads none of the scipy modules that only
-    simulating an AR path (``scipy.signal``, which loads the other three) or
-    solving a Gaussian baseline (``scipy.linalg``) needs."""
+    simulating an AR path (``scipy.signal``, which loads the others),
+    solving a Gaussian baseline (``scipy.linalg``) or calling a Gaussian,
+    Lévy or Student-t kernel (``scipy.special``) needs."""
     out = fresh_interpreter(f"import sys, tailcast.cli; "
                             f"print([m for m in {LAZY_SCIPY!r} if m in sys.modules])")
     assert out == "[]"
 
 
-def small_config(tmp_path, process):
+def small_config(tmp_path, process, marginal_mode="estimated"):
     path = tmp_path / f"{process['kind']}.json"
+    family = {"marginal_family": "gaussian"} if marginal_mode == "estimated" else {}
     path.write_text(json.dumps({
         "name": "small", "process": process, "h": 0.1, "window": [0.0, 9.9],
         "forecast_offsets": [10.0, 10.2], "prediction_interval": [10.3, 10.4],
-        "marginal_mode": "estimated", "marginal_family": "gaussian",
+        "marginal_mode": marginal_mode, **family,
         "descent": {"mode": "online", "max_iter": 30}, "replicates": 4, "seed": 3}))
     return str(path)
 
 
-def signal_loaded_after(commands) -> bool:
-    """Whether a fresh interpreter holds ``scipy.signal`` after running each
+def loaded_after(module, commands) -> bool:
+    """Whether a fresh interpreter holds ``module`` after running each
     ``tailcast`` command line in ``commands``, all exiting 0."""
     out = fresh_interpreter(f"import sys; from tailcast.cli import run; "
                             f"print([run(argv) for argv in {commands!r}], "
-                            f"'scipy.signal' in sys.modules)")
+                            f"{module!r} in sys.modules)")
     last = out.splitlines()[-1]  # the commands print their own lines first
     assert last.startswith(f"{[0] * len(commands)} "), out
     return last.endswith("True")
@@ -93,7 +95,7 @@ def test_gaussian_runs_leave_signal_unloaded(tmp_path):
     cfg = small_config(tmp_path, {"kind": "gauss_exp_cov"})
     commands = [[command, "--config", cfg, "--out", str(tmp_path / command)]
                 for command in ("simulate", "fit", "evaluate")]
-    assert not signal_loaded_after(commands)
+    assert not loaded_after("scipy.signal", commands)
 
 
 def test_ar_simulate_loads_signal(tmp_path):
@@ -101,7 +103,35 @@ def test_ar_simulate_loads_signal(tmp_path):
     cfg = small_config(tmp_path, {
         "kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
         "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}})
-    assert signal_loaded_after([["simulate", "--config", cfg, "--out", str(tmp_path / "ar")]])
+    assert loaded_after("scipy.signal", [["simulate", "--config", cfg, "--out", str(tmp_path / "ar")]])
+
+
+def test_cauchy_runs_leave_special_unloaded(tmp_path):
+    """The Cauchy kernels are arctan and arithmetic, so simulating, fitting
+    and evaluating a Cauchy process with a known marginal never needs
+    ``scipy.special``."""
+    cfg = small_config(tmp_path, {"kind": "stable_ma", "alpha": 1.0}, marginal_mode="known")
+    commands = [[command, "--config", cfg, "--out", str(tmp_path / command)]
+                for command in ("simulate", "fit", "evaluate")]
+    assert not loaded_after("scipy.special", commands)
+
+
+def test_demo_metrics_and_simulate_leave_special_unloaded(tmp_path):
+    """No pair kind of ``demo-metrics`` and no Gaussian or Lévy simulation
+    calls a special function."""
+    commands = [["demo-metrics", "--pairs", pairs, "--rho", "0.5", "--n", "1000"]
+                for pairs in ("independent", "comonotone", "countermonotone", "gaussian")]
+    for process in ({"kind": "gauss_exp_cov"}, {"kind": "stable_ma", "alpha": 0.5}):
+        cfg = small_config(tmp_path, process)
+        commands.append(["simulate", "--config", cfg, "--out", str(tmp_path / process["kind"])])
+    assert not loaded_after("scipy.special", commands)
+
+
+def test_gaussian_fit_loads_special(tmp_path):
+    """The Gaussian cdf is ``scipy.special.ndtr``, loaded at its first call;
+    a fit that never loaded it would not have called the kernel."""
+    cfg = small_config(tmp_path, {"kind": "gauss_exp_cov"})
+    assert loaded_after("scipy.special", [["fit", "--config", cfg, "--out", str(tmp_path / "fit")]])
 
 
 def test_readme_library_tour_runs():
