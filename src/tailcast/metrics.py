@@ -80,13 +80,15 @@ def delta_curve(s: PairedSample, levels) -> np.ndarray:
     return (below_lo - below_hi) / s.n
 
 
-def _uniform_ranks(x):
+def _uniform_ranks(x, order=None):
     # average ranks for ties, scaled into (0, 1]. The sort need not be stable:
     # an untied element's rank is its sorted position, and a tied block [i, j)
-    # gets 0.5 * (i + 1 + j) whatever its inner order. Untied input allocates
-    # only the n-byte `tied` mask beyond order and ranks.
+    # gets 0.5 * (i + 1 + j) whatever its inner order, so `order` may be any
+    # permutation that sorts x. Untied input allocates only the n-byte `tied`
+    # mask beyond order and ranks.
     n = x.size
-    order = np.argsort(x)
+    if order is None:
+        order = np.argsort(x)
     ranks = np.empty(n, dtype=float)
     ranks[order] = np.arange(1, n + 1, dtype=float)
     # tied[k]: sorted elements k - 1 and k are equal (False at both ends)
@@ -104,9 +106,21 @@ def _uniform_ranks(x):
 
 
 def _copula_diagonal(s: PairedSample, grid):
-    u = _uniform_ranks(s.a)
-    v = _uniform_ranks(s.b)
-    w = np.sort(np.maximum(u, v))
+    # numpy's argsort releases the GIL, so one worker sorts b while this
+    # thread ranks a. The worker runs np.argsort and nothing else: a traced
+    # tailcast function called on it would share this thread's span stack.
+    # Ranking both margins at once would hold both rankings' arrays and raise
+    # the traced peak per pair. Leaving the with block joins the worker,
+    # whether the ranking returns or raises.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        order_b = pool.submit(np.argsort, s.b)
+        u = _uniform_ranks(s.a)
+        v = _uniform_ranks(s.b, order_b.result())
+    w = np.maximum(u, v, out=u)
+    del v
+    w.sort()
     return np.searchsorted(w, grid, side="right") / s.n
 
 

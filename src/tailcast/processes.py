@@ -16,6 +16,7 @@ imports ``scipy.signal``, when it runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union, get_args
@@ -98,6 +99,11 @@ class GaussExpCov:
     marginal = Gaussian(0.0, 1.0)
 
 
+# the marginal of each stable moving average; laws are frozen, so every spec
+# (and every evaluation replicate) shares one instance per alpha
+_STANDARD_LAWS = {1.0: Cauchy(0.0, 1.0), 0.5: Levy(1.0)}
+
+
 @dataclass(frozen=True)
 class StableMovingAverage:
     """Moving average of i.i.d. stable innovations over an integer lattice.
@@ -121,7 +127,7 @@ class StableMovingAverage:
 
     @property
     def marginal(self) -> Marginal:
-        return Cauchy(0.0, 1.0) if self.alpha == 1.0 else Levy(1.0)
+        return _STANDARD_LAWS[self.alpha]
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,7 @@ ProcessSpec = Union[GaussExpCov, StableMovingAverage, ArStudentT]
 _KINDS = {cls.kind: cls for cls in get_args(ProcessSpec)}
 
 
+@functools.cache
 def default_kernel(alpha: float) -> np.ndarray:
     """Exponential moving-average kernel with unit stable norm.
 
@@ -169,13 +176,17 @@ def default_kernel(alpha: float) -> np.ndarray:
     m(x) = e^{-0.02x} * (1-e^{-0.01})^2/(1-e^{-2.51})^2    for alpha = 0.5,
     on integer lags x = 0..250. With 251 taps both stable norms are exactly
     one by a geometric-series identity; a 252nd tap would break it at 1e-4.
+    Built once per alpha and returned read-only, since every caller shares it.
     """
     x = np.arange(KERNEL_SUPPORT, dtype=float)
     if alpha == 1.0:
-        return np.exp(-0.02 * x) * (1.0 - np.exp(-0.02)) / (1.0 - np.exp(-5.02))
-    if alpha == 0.5:
-        return np.exp(-0.02 * x) * (1.0 - np.exp(-0.01)) ** 2 / (1.0 - np.exp(-2.51)) ** 2
-    raise DomainError(f"no default kernel for alpha={alpha}")
+        kernel = np.exp(-0.02 * x) * (1.0 - np.exp(-0.02)) / (1.0 - np.exp(-5.02))
+    elif alpha == 0.5:
+        kernel = np.exp(-0.02 * x) * (1.0 - np.exp(-0.01)) ** 2 / (1.0 - np.exp(-2.51)) ** 2
+    else:
+        raise DomainError(f"no default kernel for alpha={alpha}")
+    kernel.flags.writeable = False
+    return kernel
 
 
 def _check_grid(t0, h, length):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from tailcast.distributions import Cauchy, Gaussian
 from tailcast.errors import DomainError, NonFiniteInput
 from tailcast.metrics import (
+    _COPULA_GRID,
     PairedSample,
+    _copula_diagonal,
     _uniform_ranks,
     delta_curve,
     excursion_metric_empirical,
@@ -203,6 +206,67 @@ def test_gini_and_max_excursion_pinned_bits(kind):
     value, level = max_excursion_distance_empirical(s)
     got = (gini_empirical(s).hex(), value.hex(), level.hex())
     assert got == PINNED_GINI[kind]
+
+
+TIED_RANK_INPUTS = ("n2_tied", "all_equal", "rounded_normal", "rounded_cauchy", "blocks")
+
+
+@pytest.mark.parametrize("name", TIED_RANK_INPUTS)
+def test_uniform_ranks_given_order_with_reversed_ties(name):
+    """A precomputed sorting permutation with every tied block in reverse
+    index order gives the ranks of the argsort _uniform_ranks makes itself."""
+    x = rank_inputs()[name]
+    assert np.unique(x).size < x.size
+    order = np.lexsort((-np.arange(x.size), x))
+    assert _uniform_ranks(x, order).tobytes() == _uniform_ranks(x).tobytes()
+
+
+def serial_copula_diagonal(s, grid):
+    """Both margins ranked on the calling thread, then a sorted copy of their
+    maximum: the formula _copula_diagonal had before it overlapped the sorts."""
+    ua, ub, n = _uniform_ranks(s.a), _uniform_ranks(s.b), s.n
+    return np.searchsorted(np.sort(np.maximum(ua, ub)), grid, "right") / n
+
+
+def overlap_pairs():
+    g = RngStream(32, 0).generator()
+    pairs = {name: PairedSample(x, g.permutation(x)) for name, x in rank_inputs().items()}
+    from tailcast.cli import _demo_pairs
+
+    for kind in ("independent", "comonotone", "countermonotone", "gaussian"):
+        pairs[kind] = _demo_pairs(kind, 0.9, 200_000, 0)
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(overlap_pairs()))
+def test_gini_copula_diagonal_equals_serial_formula(name):
+    s = overlap_pairs()[name]
+    got = _copula_diagonal(s, _COPULA_GRID)
+    assert got.tobytes() == serial_copula_diagonal(s, _COPULA_GRID).tobytes()
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_gini_raises_what_either_sort_raises_and_joins_its_worker(where, monkeypatch):
+    """A MemoryError from b's argsort on the worker, or from a's on the
+    calling thread, reaches the caller of gini_empirical, and the worker is
+    joined before the error leaves it."""
+    real = np.argsort
+    raised_on = []
+
+    def argsort(x, *args, **kwargs):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (where == "worker"):
+            raised_on.append(threading.current_thread().name)
+            raise MemoryError("argsort")
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    s = gauss_pairs(0.5, 1000)
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="argsort"):
+        gini_empirical(s)
+    assert len(raised_on) == 1
+    assert set(threading.enumerate()) == before
 
 
 def gini_peak_bytes(s):

@@ -75,9 +75,24 @@ def test_kernel_support_is_exactly_251_taps():
     assert abs(np.sum(np.sqrt(e5)) ** 2 - 1.0) > 1e-3
 
 
+def test_kernel_built_once_per_alpha_and_read_only():
+    """Every caller shares one read-only array per alpha, with the bits of
+    the formula in default_kernel's docstring."""
+    x = np.arange(251, dtype=float)
+    formulas = {1.0: np.exp(-0.02 * x) * (1 - np.exp(-0.02)) / (1 - np.exp(-5.02)),
+                0.5: np.exp(-0.02 * x) * (1 - np.exp(-0.01)) ** 2 / (1 - np.exp(-2.51)) ** 2}
+    for alpha, want in formulas.items():
+        k = default_kernel(alpha)
+        assert k is default_kernel(alpha) is StableMovingAverage(alpha).kernel
+        assert k.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            k[0] = 0.0
+
+
 def test_kernel_unsupported_alpha():
-    with pytest.raises(DomainError, match="no default kernel for alpha=1.5"):
-        default_kernel(1.5)
+    for _ in range(2):  # the error is raised anew, not cached
+        with pytest.raises(DomainError, match="no default kernel for alpha=1.5"):
+            default_kernel(1.5)
     with pytest.raises(DomainError, match="alpha must be 0.5 or 1.0, got 1.5"):
         StableMovingAverage(1.5)
 
@@ -171,8 +186,11 @@ def test_stable_ma_marginal_law(alpha):
 
 
 def test_stable_ma_marginal_objects():
-    assert isinstance(StableMovingAverage(1.0).marginal, Cauchy)
-    assert isinstance(StableMovingAverage(0.5).marginal, Levy)
+    """One frozen standard law per alpha, shared by every spec."""
+    assert StableMovingAverage(1.0).marginal == Cauchy(0.0, 1.0)
+    assert StableMovingAverage(0.5).marginal == Levy(1.0)
+    for alpha in (1.0, 0.5):
+        assert StableMovingAverage(alpha).marginal is StableMovingAverage(alpha).marginal
 
 
 def test_levy_ma_values_positive():
