@@ -17,16 +17,16 @@ All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
 
 Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.rows``
-know the predictor form. The Q2/Q3 row subgradients, one per online descent
-step, live in ``RowSubgradients``: one ``Predictor.rows`` call gives the row
-values and jacobian rows of several chains at once (``np.vecdot``, one
-weight row per data row), one unchecked pdf call covers all of their values
-and one cdf call the Q3 chains' F(g_j). ``subgradient`` runs it on one chain.
-The Q4 row and every mean subgradient read their rows from one row block
-(``_row_block``: predictions, jacobian rows, pdf values, Q2 coefficient).
-The row and mean forms stay separate formulas even so: each keeps the order
-of floating-point operations that the pinned artifact digests were recorded
-with, and merging them would change those bytes.
+know the predictor form. The descent engine (``optimize.solve_lockstep``)
+steps the online Q2/Q3 chains with one ``RowSubgradients`` call: one
+``Predictor.rows`` call gives all their row values and jacobian rows
+(``np.vecdot``, one weight row per data row), one unchecked pdf call covers
+their values and one cdf call the Q3 chains' F(g_j). An online Q4 chain
+steps with ``subgradient``, a batch chain with ``mean_subgradient``, both on
+one row block (``_row_block``: predictions, jacobian rows, pdf values, Q2
+coefficient). The row and mean forms stay separate formulas even so: each
+keeps the order of floating-point operations that the pinned artifact
+digests were recorded with, and merging them would change those bytes.
 
 The mean functional itself, which scores the starting candidates and every
 trace record, is ``ObjectiveValues``: bound to one sample set, it computes

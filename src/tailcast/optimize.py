@@ -7,16 +7,14 @@ steps are square-summable but not summable. Selection of the returned
 iterate is by last iterate, Polyak-Ruppert averaging past a burn-in, or the
 traced iterate with the smallest full objective.
 
-One loop, ``_descend_chains``, steps K chains together; each chain keeps its
-own generator, projection, ``tol`` stop, trace and selection. ``descend``
-runs it on one chain of a ``DescentProblem`` (value / row_grad / mean_grad
-callables), so it can be exercised on analytic objectives.
-``solve_lockstep`` runs several online Q2/Q3 solves on the same rows
-through it, one packed ``RowSubgradients`` call per step, with the results
-``descend`` gives each alone; each chain draws the rows of one trace stride
-in one generator call. ``solve`` wires in the statistical functionals from
-:mod:`tailcast.objective`: online Q2/Q3 go to ``solve_lockstep``, batch
-mode and Q4 to ``descend``. Traces and starting candidates are scored by an
+One engine, ``solve_lockstep``, runs every solve through one loop,
+``_descend_chains``: it steps K chains on the same rows together, each with
+its own functional, start, generator, projection, ``tol`` stop, trace and
+selection, and gives each chain the bits it gets alone. The mode and the
+variant only choose how a chain's step subgradient is formed:
+``mean_subgradient`` in batch mode, one packed ``RowSubgradients`` call for
+the online Q2/Q3 chains, ``subgradient`` for an online Q4 chain. ``solve``
+is its one-chain call. Traces and starting candidates are scored by an
 ``ObjectiveValues`` bound to the sample set, which computes F(y) once.
 """
 
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,10 +41,8 @@ from .rng import as_generator
 __all__ = [
     "DescentConfig",
     "SolveResult",
-    "DescentProblem",
     "project",
     "init_candidates",
-    "descend",
     "solve",
     "solve_lockstep",
     "write_trace_csv",
@@ -85,12 +80,12 @@ class DescentConfig:
             raise DomainError(f"constraint must be one of {CONSTRAINTS}", key="constraint")
         if not (self.a > 0 and np.isfinite(self.a)):
             raise DomainError("step scale a must be positive", key="a")
-        if not (self.b >= 0 and np.isfinite(self.b)):
-            raise DomainError("step offset b must be >= 0", key="b")
+        if not (self.b > 0 and np.isfinite(self.b)):  # step(0) divides by b ** beta
+            raise DomainError("step offset b must be positive", key="b")
         if self.mode == "online" and not (0.5 < self.beta <= 1.0):
             raise DomainError("online mode needs 0.5 < beta <= 1", key="beta")
-        if self.beta <= 0:
-            raise DomainError("beta must be positive", key="beta")
+        if not (self.beta > 0 and np.isfinite(self.beta)):  # NaN too
+            raise DomainError("beta must be positive and finite", key="beta")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1", key="max_iter")
         if not self.tol >= 0:  # NaN too
@@ -117,22 +112,6 @@ class SolveResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class DescentProblem:
-    """Objective seam for the descent loop.
-
-    count: number of rows the online mode samples from.
-    value(p, rng): full objective at predictor p.
-    row_grad(p, j, rng): subgradient of row j's term.
-    mean_grad(p, rng): subgradient of the mean term.
-    """
-
-    count: int
-    value: Callable
-    row_grad: Callable
-    mean_grad: Callable
-
-
 def project(constraint: str, lam, radius: float = 1.0) -> np.ndarray:
     """Euclidean projection onto the constraint set."""
     lam = np.asarray(lam, dtype=float)
@@ -146,16 +125,6 @@ def project(constraint: str, lam, radius: float = 1.0) -> np.ndarray:
             return lam * (radius / norm)
         return lam
     raise DomainError(f"constraint must be one of {CONSTRAINTS}")
-
-
-def _spec_problem(spec: ObjectiveSpec, samples: LearningSamples) -> DescentProblem:
-    def row_grad(p, j, rng):
-        return subgradient(spec, p, samples, j)
-
-    def mean_grad(p, rng):
-        return mean_subgradient(spec, p, samples, rng=rng)
-
-    return DescentProblem(samples.count, ObjectiveValues(spec, samples), row_grad, mean_grad)
 
 
 def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str,
@@ -288,77 +257,77 @@ def _descend_chains(grads, values, starts, cfg: DescentConfig, gens) -> list:
     return results
 
 
-def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> SolveResult:
-    """Run the projected subgradient loop on an arbitrary problem."""
-    g = as_generator(rng)
-
-    def grads(W, active, l):
-        p = p0.with_weights(W[0])
-        if cfg.mode == "batch":
-            return np.asarray(problem.mean_grad(p, g), dtype=float)
-        j = int(g.integers(0, problem.count))
-        return np.asarray(problem.row_grad(p, j, g), dtype=float)
-
-    return _descend_chains(grads, [problem.value], [p0], cfg, [g])[0]
-
-
 def solve(spec: ObjectiveSpec, samples: LearningSamples, p0: Predictor,
           cfg: DescentConfig, rng) -> SolveResult:
-    """Minimize the chosen empirical functional starting from p0.
-
-    Online Q2/Q3 runs as a one-chain ``solve_lockstep``, everything else
-    through ``descend``; both step through the same loop.
-    """
-    if cfg.mode == "online" and spec.variant != "Q4":
-        return solve_lockstep([spec], samples, [p0], cfg, [rng])[0]
-    return descend(_spec_problem(spec, samples), p0, cfg, rng)
+    """Minimize the chosen empirical functional starting from p0: a one-chain
+    ``solve_lockstep``."""
+    return solve_lockstep([spec], samples, [p0], cfg, [rng])[0]
 
 
 def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, rngs) -> list:
-    """Online solves of Q2/Q3 functionals on the same rows, stepped together.
+    """Solves of several functionals on the same rows, stepped together.
 
-    Result c equals ``descend`` stepping chain c alone along
-    ``subgradient`` bit for bit, ``seconds`` aside. Every chain draws its
-    row j, and a Q3 chain then its bootstrap row b, from its own generator,
-    and the subgradients of all running chains come from one
-    ``RowSubgradients`` call per step. A chain draws the rows of every step
-    up to its next trace record (at most ``_BLOCK_STEPS`` steps) in one
+    Chain c minimizes ``specs[c]`` from ``starts[c]`` with generator
+    ``rngs[c]``, and result c has the bits, ``seconds`` aside, of chain c
+    solved alone, whatever the other chains' variants. A batch chain
+    steps along ``mean_subgradient``. An online chain draws its row j, and a
+    Q3 chain then its bootstrap row b; the running online Q2/Q3 chains get
+    their subgradients from one ``RowSubgradients`` call per step, an online
+    Q4 chain from ``subgradient``. An online chain draws the rows of every
+    step up to its next trace record (at most ``_BLOCK_STEPS`` steps) in one
     ``integers(0, N, size=...)`` call, j, b, j, b, ... for Q3: a block draw
     gives the values, and leaves the generator state, of as many scalar
-    draws. Under ``tol > 0`` a chain may stop, and trace, after any step,
-    so the block is one step long. The specs share one marginal and the
-    starts one form. An error raised for one chain carries its index in
-    ``chain``.
+    draws. Under ``tol > 0`` a chain may stop, and trace, after any step, so
+    the block is one step long. The starts share one form and the online
+    Q2/Q3 specs one marginal. An error raised for one chain carries its
+    index in ``chain``.
     """
-    if cfg.mode != "online":
-        raise DomainError("the lockstep engine runs online descent only")
     if not (len(specs) == len(starts) == len(rngs) >= 1):
         raise DomainError("need one spec, start and rng per chain")
     if any(p.kind != starts[0].kind for p in starts):
         raise DomainError("lockstep chains must share the predictor form")
-    kernel, packed = RowSubgradients(specs, samples, starts[0]), list(range(len(specs)))
     gens = [as_generator(r) for r in rngs]
-    draws = [2 if spec.variant == "Q3" else 1 for spec in specs]  # rows per step
+    online = cfg.mode == "online"
+    draws = [2 if spec.variant == "Q3" else 1 for spec in specs]  # rows per online step
     rows, left = {}, 0  # each running chain's drawn rows; steps they still cover
+    running = packed = others = kernel = None  # positions in running: packed or others
 
     def grads(W, active, l):
-        nonlocal kernel, packed, rows, left
-        if active != packed:  # a chain stopped: pack the rest
-            kernel = RowSubgradients([specs[c] for c in active], samples, starts[0])
-            packed = active
-        if not left:
-            left = 1 if cfg.tol > 0 else min(cfg.trace_stride - l % cfg.trace_stride,
-                                             cfg.max_iter - l, _BLOCK_STEPS)
-            rows = {c: iter(gens[c].integers(0, samples.count, size=left * draws[c]).tolist())
-                    for c in active}
-        left -= 1
-        js = [next(rows[c]) for c in active]
-        bs = [next(rows[c]) for c in active if draws[c] == 2]
+        nonlocal running, packed, others, kernel, rows, left
+        if active != running:  # first step, or a chain stopped: split the running chains
+            running = active
+            packed = [i for i, c in enumerate(active) if online and specs[c].variant != "Q4"]
+            others = [i for i in range(len(active)) if i not in packed]
+            kernel = (RowSubgradients([specs[active[i]] for i in packed], samples, starts[0])
+                      if packed else None)
+        if online:
+            if not left:
+                left = 1 if cfg.tol > 0 else min(cfg.trace_stride - l % cfg.trace_stride,
+                                                 cfg.max_iter - l, _BLOCK_STEPS)
+                rows = {c: iter(gens[c].integers(0, samples.count, size=left * draws[c]).tolist())
+                        for c in active}
+            left -= 1
+            js = [next(rows[c]) for c in active]
+            bs = [next(rows[c]) for c in active if draws[c] == 2]
         try:
-            return kernel(W, js, bs)
+            if not others:  # online Q2/Q3 chains only: the kernel's result as it is
+                return kernel(W, js, bs)
+            G = np.empty_like(W)
+            if packed:
+                G[packed] = kernel(W[packed], [js[i] for i in packed], bs)
         except NonFiniteInput as exc:
-            exc.chain = active[exc.chain]
+            exc.chain = active[packed[exc.chain]]
             raise
+        for i in others:
+            c = active[i]
+            p = starts[c].with_weights(W[i])
+            try:
+                G[i] = (subgradient(specs[c], p, samples, js[i]) if online
+                        else mean_subgradient(specs[c], p, samples, rng=gens[c]))
+            except (ValueError, RuntimeError) as exc:
+                exc.chain = c
+                raise
+        return G
 
     values = [ObjectiveValues(spec, samples) for spec in specs]
     return _descend_chains(grads, values, starts, cfg, gens)

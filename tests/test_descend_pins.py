@@ -1,7 +1,8 @@
 """Pinned bits of ``descend`` on an analytic problem.
 
 Least absolute deviation over fixed rows, mean |x_i . w - y_i|, stepped by
-``descend`` in every combination of mode, selection, constraint and ``tol``.
+``descend`` (``descent_reference.py``: one chain of the engine's step loop)
+in every combination of mode, selection, constraint and ``tol``.
 The problem draws from the descent's generator in every callback (a
 bootstrap resample per value and mean subgradient, a second row per row
 subgradient), so the pins also fix the order of draws between steps and
@@ -29,8 +30,10 @@ import numpy as np
 import pytest
 
 from tailcast.objective import Predictor
-from tailcast.optimize import DescentConfig, DescentProblem, descend
+from tailcast.optimize import DescentConfig
 from tailcast.rng import RngStream
+
+from descent_reference import DescentProblem, descend
 
 MODES = ("batch", "online")
 SELECTIONS = ("last", "polyak", "best")

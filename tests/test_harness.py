@@ -164,13 +164,18 @@ def test_spec_from_dict_rejects_bad_descent_type_by_key(key, value):
 def test_spec_from_dict_rejects_descent_value_out_of_range_by_key():
     d = spec_to_dict(tiny_gauss_spec())
     for key, value in (("mode", "momentum"), ("selection", "median"), ("constraint", "box"),
-                       ("a", 0.0), ("a", float("inf")), ("b", -1.0), ("beta", 0.4),
+                       ("a", 0.0), ("a", float("inf")), ("b", -1.0), ("b", 0.0), ("beta", 0.4),
                        ("max_iter", 0), ("tol", -1.0), ("tol", float("nan")), ("burn_in", 40),
                        ("trace_stride", 0)):
         d2 = {**d, "descent": {**d["descent"], key: value}}
         with pytest.raises(ConfigError) as err:
             spec_from_dict(d2)
         assert err.value.key == f"descent.{key}"
+    # batch mode takes any positive beta, but not NaN or infinity (JSON reads both)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError) as err:
+            spec_from_dict({**d, "descent": {**d["descent"], "mode": "batch", "beta": beta}})
+        assert err.value.key == "descent.beta"
     with pytest.raises(ConfigError) as err:
         spec_from_dict({**d, "descent": {**d["descent"], "constraint": "ball", "radius": 0.0}})
     assert err.value.key == "descent.radius"

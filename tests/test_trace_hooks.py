@@ -2,13 +2,13 @@
 
 The tracer patches functions at the names where callers look them up, so a
 refactor that calls around one of those names silently zeroes a per-layer
-metric. Every descent runs the one step loop of ``optimize``; one-point fits
-through ``descend`` (online Q4 and batch Q3) reach it through
-``harness.solve`` and step along ``optimize.subgradient`` or
-``optimize.mean_subgradient``, so they must reach every hook. Online Q2/Q3
-fits step through ``optimize.solve_lockstep``'s packed row kernel, which the
-tracer does not wrap: it sees their trace evaluations, and their steps only
-where ``run_fit`` reaches them through ``solve``.
+metric. Every descent runs the one engine of ``optimize``,
+``solve_lockstep``; one-point fits of one method at a time (online Q4 and
+batch Q3) reach it through ``harness.solve`` and step along
+``optimize.subgradient`` or ``optimize.mean_subgradient``, so they must
+reach every hook. Online Q2/Q3 chains step through the engine's packed row
+kernel, which the tracer does not wrap: it sees their trace evaluations,
+and their steps only where ``run_fit`` reaches them through ``solve``.
 """
 
 import importlib.util
@@ -74,9 +74,9 @@ def test_tracer_reaches_every_hook_and_restores():
 
 
 def test_every_online_step_reaches_the_subgradient_hook():
-    """Each online step of the Q4 chain, which ``descend`` runs, is one hook
-    call; the Q2 chain's steps (one-chain ``solve_lockstep``) are counted by
-    ``optimize.steps`` but call no hook."""
+    """Each online step of the Q4 chain, which steps along ``subgradient``,
+    is one hook call; the Q2 chain's steps (the packed row kernel of a
+    one-chain ``solve``) are counted by ``optimize.steps`` but call no hook."""
     tracer = load_tracer()(full=True)
     with tracer:
         fits = tailcast.harness.run_fit(one_point_spec())
