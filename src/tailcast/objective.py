@@ -17,16 +17,18 @@ All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
 
 Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.rows``
-know the predictor form. The descent engine (``optimize.solve_lockstep``)
-steps the online Q2/Q3 chains with one ``RowSubgradients`` call: one
-``Predictor.rows`` call gives all their row values and jacobian rows
-(``np.vecdot``, one weight row per data row), one unchecked pdf call covers
-their values and one cdf call the Q3 chains' F(g_j). An online Q4 chain
-steps with ``subgradient``, a batch chain with ``mean_subgradient``, both on
-one row block (``_row_block``: predictions, jacobian rows, pdf values, Q2
-coefficient). The row and mean forms stay separate formulas even so: each
-keeps the order of floating-point operations that the pinned artifact
-digests were recorded with, and merging them would change those bytes.
+know the predictor form; ``RowSubgradients`` computes the linear form's
+row values with ``np.vecdot`` itself, as ``Predictor.rows`` does. The
+descent engine (``optimize.solve_lockstep``) steps the online Q2/Q3 chains
+with one ``RowSubgradients`` step: one row-wise product gives all their row
+values and jacobian rows (one weight row per data row), one unchecked pdf
+call covers their values and one cdf call the Q3 chains' F(g_j). An online
+Q4 chain steps with ``subgradient``, a batch chain with
+``mean_subgradient``, both on one row block (``_row_block``: predictions,
+jacobian rows, pdf values, Q2 coefficient). The row and mean forms stay
+separate formulas even so: each keeps the order of floating-point
+operations that the pinned artifact digests were recorded with, and
+merging them would change those bytes.
 
 The mean functional itself, which scores the starting candidates and every
 trace record, is ``ObjectiveValues``: bound to one sample set, it computes
@@ -281,13 +283,17 @@ class RowSubgradients:
     """Q2/Q3 row subgradients of several chains on one sample set, packed.
 
     Chain c minimizes ``specs[c]`` (Q2 or Q3; one marginal for all) with
-    weight row ``W[c]`` of the form of ``form``. A call ``(W, js, bs)``
+    weight row ``W[c]`` of the form of ``form``. A step of K chains, P of
+    them Q3, has K + 2P row slots: row j of every chain, then row j of
+    every Q3 chain again, then bootstrap row b of every Q3 chain, so that
+    slot s's jacobian row is the one term s needs. A call ``(W, js, bs)``
     takes one row index per chain and one bootstrap row index per Q3 chain,
     in chain order, and returns the (K, n) subgradients from one pass: one
-    ``Predictor.rows`` over the rows [j of every chain, b of every Q3
-    chain], one unchecked pdf call on all of their values, one cdf call on
-    the Q3 chains' g_j. Every chain keeps the float operations of the
-    one-chain formulas
+    row-wise product over the slots (``np.vecdot`` for the linear form,
+    ``Predictor.rows`` otherwise), one unchecked pdf call on all slot
+    values, one cdf call on the Q3 chains' g_j. ``window`` returns the step
+    of each of a run of steps as one function. Every chain keeps the float
+    operations of the one-chain formulas
 
         Q2: (2 [y_j < g_j] - 1) p(g_j) G_j
         Q3: Q2 + gamma (2 F(g_j) - [g_b < g_j]) p(g_j) G_j
@@ -303,44 +309,64 @@ class RowSubgradients:
         marginal = specs[0].marginal
         if any(s.variant not in ("Q2", "Q3") or s.marginal != marginal for s in specs):
             raise DomainError("packed row subgradients need Q2/Q3 functionals on one marginal")
-        K = len(specs)
-        pen = [c for c, s in enumerate(specs) if s.variant == "Q3"]
-        self.X, self.y, self.form, self.chains = samples.X, samples.y, form, K
+        self.chains, self.X, self.y = len(specs), samples.X, samples.y
+        self.form = None if form.kind == "linear" else form
         self.pdf, self.cdf = marginal._pdf, marginal._cdf
-        # Q3 chain c: its j row slot c, its b row slot K + k, its gamma
-        self.pen = [(c, K + k, specs[c].gamma) for k, c in enumerate(pen)]
-        self.slot_chain = list(range(K)) + pen
-        if pen:
-            self.wsel = np.array(self.slot_chain)  # weight row of every slot
-            self.fsel = np.array(pen)  # slots whose F(g) the Q3 terms need
-            # jacobian row of every term: K Q2 terms, then two per Q3 chain
-            self.tsel = np.array(list(range(K)) + [i for c, s, _ in self.pen for i in (c, s)])
+        self.penalized = [c for c, s in enumerate(specs) if s.variant == "Q3"]
+        self.gammas = [specs[c].gamma for c in self.penalized]
+        self.slot_chain = list(range(self.chains)) + self.penalized * 2
+        self.wsel = np.array(self.slot_chain)  # the weight row of every slot
+        # the slots whose terms make a Q3 chain's subgradient: its own, its j and its b term
+        K, P = self.chains, len(self.penalized)
+        self.terms = [(c, K + k, K + P + k) for k, c in enumerate(self.penalized)]
 
     def __call__(self, W, js, bs) -> np.ndarray:
-        K = self.chains
-        R = self.X.take(js + bs, axis=0)
-        Wr = W.take(self.wsel, axis=0) if self.pen else W
-        g, J = self.form.with_weights(Wr).rows(R)
-        gl = g.tolist()
-        for slot, v in enumerate(gl):
-            if not math.isfinite(v):
-                exc = NonFiniteInput("row prediction is not finite")
-                exc.chain = self.slot_chain[slot]
-                raise exc
-        pl = self.pdf(g).tolist()
-        y = self.y
-        coef = [(2.0 * (y.item(j) < gj) - 1.0) * pj for j, gj, pj in zip(js, gl, pl)]
-        if self.pen:
-            for (c, s, gamma), fj in zip(self.pen, self.cdf(g.take(self.fsel)).tolist()):
-                gj, gb, pj = gl[c], gl[s], pl[c]
-                coef.append(gamma * (2.0 * fj - (gb < gj)) * pj)
-                coef.append(gamma * (gb >= gj) * pl[s])
-            J = J.take(self.tsel, axis=0)
-        M = J * np.array(coef)[:, None]
-        for k, (c, _, _) in enumerate(self.pen):
-            M[c] += M[K + 2 * k]
-            M[c] -= M[K + 2 * k + 1]
-        return M[:K]
+        rows = list(js) + [js[c] for c in self.penalized] + list(bs)
+        return self.window(np.array([rows]))(W)
+
+    def window(self, rows):
+        """The steps of a run of steps, as one function.
+
+        Row i of ``rows`` holds step i's slot rows; the i-th call ``(W)`` of
+        the returned function returns step i's subgradients at W.
+        """
+        X, form, pdf, cdf, gammas = self.X, self.form, self.pdf, self.cdf, self.gammas
+        K, slot_chain, wsel, terms = self.chains, self.slot_chain, self.wsel, self.terms
+        KP = K + len(terms)
+        steps = zip(X.take(rows, axis=0), self.y.take(rows[:, :K]).tolist())
+
+        def step(W):
+            R, yj = next(steps)
+            Wr = W.take(wsel, axis=0) if terms else W
+            if form is None:
+                g, J = np.vecdot(R, Wr), R
+            else:
+                g, J = form.with_weights(Wr).rows(R)
+            gl = g.tolist()
+            if not math.isfinite(sum(gl)):  # finite slots may overflow the sum: look at each
+                for slot, v in enumerate(gl):
+                    if not math.isfinite(v):
+                        exc = NonFiniteInput("row prediction is not finite")
+                        exc.chain = slot_chain[slot]
+                        raise exc
+            pl = pdf(g).tolist()
+            coef = []
+            for yv, gj, pj in zip(yj, gl, pl):
+                coef.append((2.0 * (yv < gj) - 1.0) * pj)
+            if terms:  # slots K.. repeat the Q3 chains' g_j and p(g_j); b's follow
+                gj, gb = gl[K:KP], gl[KP:]
+                for gamma, f, j, b, p in zip(gammas, cdf(g[K:KP]).tolist(), gj, gb, pl[K:KP]):
+                    coef.append(gamma * (2.0 * f - (b < j)) * p)
+                for gamma, j, b, p in zip(gammas, gj, gb, pl[KP:]):
+                    coef.append(gamma * (b >= j) * p)
+            M = J * np.array(coef)[:, None]
+            for c, j, b in terms:
+                G = M[c]
+                G += M[j]
+                G -= M[b]
+            return M[:K]
+
+        return step
 
 
 class ObjectiveValues:
@@ -365,23 +391,32 @@ class ObjectiveValues:
         self.fy = self.cdf(samples.y)
 
     def __call__(self, p: Predictor, rng=None) -> float:
-        spec, samples = self.spec, self.samples
+        # in-place temporaries, and np.add.reduce(x) / n for np.mean(x):
+        # the same IEEE operations in the same order
+        spec, samples, n = self.spec, self.samples, self.samples.count
         ghat = p.values(samples.X)
         if not np.isfinite(ghat).all():
             raise NonFiniteInput("x contains non-finite values")
         fg = self.cdf(ghat)
-        q2 = 2.0 * np.maximum(self.fy, fg) - fg
+        q2 = np.maximum(self.fy, fg)
+        q2 *= 2.0
+        q2 -= fg
         if spec.variant == "Q2":
-            return float(np.mean(q2))
+            return float(np.add.reduce(q2) / n)
+        sq = fg * fg
         if spec.variant == "Q3":
-            yb = fg[_bootstrap_rows(rng, samples.count)]
-            return float(np.mean(q2 + spec.gamma * (fg * fg - np.maximum(fg, yb))))
+            yb = fg[_bootstrap_rows(rng, n)]
+            sq -= np.maximum(fg, yb, out=yb)
+            sq *= spec.gamma
+            q2 += sq
+            return float(np.add.reduce(q2) / n)
         # Q4 mean via the sorted identity:
         # sum_j [F_j + 2 sum_{i<j} max(F_i,F_j)] = sum_k (2k-1) F_(k)
-        n = samples.count
-        fs = np.sort(fg)
-        run_total = float(np.sum((2.0 * np.arange(1, n + 1) - 1.0) * fs))
-        return float(np.mean(q2) + spec.gamma * np.mean(fg * fg) - spec.gamma / (n * n) * run_total)
+        fg.sort()
+        fg *= 2.0 * np.arange(1, n + 1) - 1.0
+        run_total = float(np.add.reduce(fg))
+        return float(np.add.reduce(q2) / n + spec.gamma * (np.add.reduce(sq) / n)
+                     - spec.gamma / (n * n) * run_total)
 
 
 def objective_value(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> float:

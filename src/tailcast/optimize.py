@@ -10,9 +10,11 @@ traced iterate with the smallest full objective.
 One engine, ``solve_lockstep``, runs every solve through one loop,
 ``_descend_chains``: it steps K chains on the same rows together, each with
 its own functional, start, generator, projection, ``tol`` stop, trace and
-selection, and gives each chain the bits it gets alone. The mode and the
-variant only choose how a chain's step subgradient is formed:
-``mean_subgradient`` in batch mode, one packed ``RowSubgradients`` call for
+selection, and gives each chain the bits it gets alone. It runs one trace
+window at a time: the rows of the window's steps are drawn and gathered
+before its first step, and its steps run in a tight inner loop. The mode
+and the variant only choose how a chain's step subgradient is formed:
+``mean_subgradient`` in batch mode, one packed ``RowSubgradients`` step for
 the online Q2/Q3 chains, ``subgradient`` for an online Q4 chain. ``solve``
 is its one-chain call. Traces and starting candidates are scored by an
 ``ObjectiveValues`` bound to the sample set, which computes F(y) once.
@@ -20,6 +22,9 @@ is its one-chain call. Traces and starting candidates are scored by an
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 import time
 from dataclasses import dataclass
 
@@ -52,7 +57,7 @@ MODES = ("batch", "online")
 COLD_STARTS = ("unit", "simplex")  # init strategies that need no previous solution
 SELECTIONS = ("last", "polyak", "best")
 CONSTRAINTS = ("unconstrained", "nonneg", "ball")
-_BLOCK_STEPS = 1024  # most steps whose rows a lockstep chain draws ahead
+_BLOCK_STEPS = 1024  # most steps in one window, whose rows a lockstep chain draws ahead
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,11 @@ class DescentConfig:
     trace_stride: int = 10
 
     def __post_init__(self):
+        for key in ("max_iter", "burn_in", "trace_stride"):  # a float budget never runs out
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{key} must be an integer, got {reprlib.repr(value)}", key=key)
+            object.__setattr__(self, key, int(value))
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}", key="mode")
         if self.selection not in SELECTIONS:
@@ -88,8 +98,8 @@ class DescentConfig:
             raise DomainError("beta must be positive and finite", key="beta")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1", key="max_iter")
-        if not self.tol >= 0:  # NaN too
-            raise DomainError("tol must be >= 0", key="tol")
+        if not (self.tol >= 0 and math.isfinite(self.tol)):  # NaN too; inf stops every chain at once
+            raise DomainError("tol must be finite and >= 0", key="tol")
         if not (0 <= self.burn_in < self.max_iter):
             raise DomainError("burn_in must lie in [0, max_iter)", key="burn_in")
         if self.constraint == "ball" and not (self.radius > 0):
@@ -202,48 +212,67 @@ def _descend_chains(grads, values, starts, cfg: DescentConfig, gens) -> list:
     """The projected subgradient loop, stepping K chains together.
 
     Chain c starts from ``starts[c]`` and traces ``values[c](p, gens[c])``.
-    ``grads(W, active, l)`` returns the step-``l`` subgradients at the
-    iterate rows W of the running chains ``active`` (row i is chain
-    ``active[i]``), each drawing its rows from its own generator. A step
-    takes one step size, one update of W and one finiteness check; the
-    projection, the ``tol`` stop, the trace and the selection are per chain,
-    and a chain that stops draws nothing more. Result c's ``seconds`` is the wall time until chain
-    c stopped. An error raised for one chain carries its index in ``chain``.
+    The loop runs window by window. A window is the steps up to the next
+    trace record, at most ``_BLOCK_STEPS`` of them; under ``tol > 0``, where
+    a chain may stop after any step, it is one step. No chain stops inside
+    a window. ``grads(active, steps)`` returns the step function of the
+    running chains ``active`` for the next window, of ``steps`` steps: its
+    i-th call at the iterate rows W (row k is chain ``active[k]``) returns
+    the subgradients of the window's i-th step, each chain drawing its rows
+    from its own generator. An error it raises carries in ``chain`` the row
+    of the chain it came from. A step takes one step size, one update of W
+    and one finiteness check; the projection, the ``tol`` stop, the trace
+    and the selection are per chain, and a chain that stops draws nothing
+    more. Result c's ``seconds`` is the wall time until chain c stopped. An
+    error raised for one chain carries its index in ``chain``.
     """
     t_start = time.perf_counter()
     W = np.array([project(cfg.constraint, np.array(p.weights, dtype=float), cfg.radius)
                   for p in starts])
     traces = [_Trace(c, value, p0, g, W[c])
               for c, (value, p0, g) in enumerate(zip(values, starts, gens))]
-    polyak, constrained = cfg.selection == "polyak", cfg.constraint != "unconstrained"
+    a, b, decay = cfg.a, cfg.b, -cfg.beta  # cfg.step(l) is a * (b + l) ** decay
+    stride, max_iter, tol, burn_in = cfg.trace_stride, cfg.max_iter, cfg.tol, cfg.burn_in
+    constraint, radius = cfg.constraint, cfg.radius
+    polyak, constrained = cfg.selection == "polyak", constraint != "unconstrained"
     results = [None] * len(starts)
     active = list(range(len(starts)))
     avg_sum, avg_count = np.zeros_like(W), 0
     l = 0
     while active:
-        if polyak and l >= cfg.burn_in:
-            avg_sum += W
-            avg_count += 1
-        new = W - cfg.step(l) * grads(W, active, l)
-        if constrained:
-            for i in range(len(active)):
-                new[i] = project(cfg.constraint, new[i], cfg.radius)
-        if not np.isfinite(new).all():
-            i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
-            exc = DivergedToNonFinite(f"non-finite iterate at step {l}", last_iterate=W[i].copy())
-            exc.chain = active[i]
-            raise exc
-        stopped = []
-        if cfg.tol > 0:
-            stopped = [i for i in range(len(active))
-                       if float(np.linalg.norm(new[i] - W[i])) < cfg.tol]
-        W = new
-        l += 1
-        if l % cfg.trace_stride == 0 or l == cfg.max_iter:
+        end = l + 1 if tol > 0 else min(l + stride - l % stride, max_iter, l + _BLOCK_STEPS)
+        step = grads(active, end - l)
+        try:
+            for l in range(l, end):
+                if polyak and l >= burn_in:
+                    avg_sum += W
+                    avg_count += 1
+                new = W - a * (b + l) ** decay * step(W)
+                if constrained:
+                    for i in range(len(active)):
+                        new[i] = project(constraint, new[i], radius)
+                # a sum of finite entries may overflow: then look at each
+                if not math.isfinite(sum(new.ravel().tolist())) and not np.isfinite(new).all():
+                    i = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+                    exc = DivergedToNonFinite(f"non-finite iterate at step {l}",
+                                              last_iterate=W[i].copy())
+                    exc.chain = i
+                    raise exc
+                last, W = W, new
+        except (ValueError, RuntimeError) as exc:
+            exc.chain = active[getattr(exc, "chain", 0)]
+            raise
+        l = end
+        if l % stride == 0 or l == max_iter:
             for i, c in enumerate(active):
                 traces[c].record(l, W[i])
-        if l == cfg.max_iter:
+        if l == max_iter:
             stopped = range(len(active))
+        elif tol > 0:  # the window was one step
+            stopped = [i for i in range(len(active))
+                       if float(np.linalg.norm(W[i] - last[i])) < tol]
+        else:
+            stopped = []
         for i in stopped:
             c = active[i]
             if traces[c].iters[-1] != l:
@@ -272,15 +301,13 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     solved alone, whatever the other chains' variants. A batch chain
     steps along ``mean_subgradient``. An online chain draws its row j, and a
     Q3 chain then its bootstrap row b; the running online Q2/Q3 chains get
-    their subgradients from one ``RowSubgradients`` call per step, an online
+    their subgradients from one ``RowSubgradients`` step per step, an online
     Q4 chain from ``subgradient``. An online chain draws the rows of every
-    step up to its next trace record (at most ``_BLOCK_STEPS`` steps) in one
-    ``integers(0, N, size=...)`` call, j, b, j, b, ... for Q3: a block draw
-    gives the values, and leaves the generator state, of as many scalar
-    draws. Under ``tol > 0`` a chain may stop, and trace, after any step, so
-    the block is one step long. The starts share one form and the online
-    Q2/Q3 specs one marginal. An error raised for one chain carries its
-    index in ``chain``.
+    step of a window (``_descend_chains``) in one ``integers(0, N,
+    size=...)`` call, j, b, j, b, ... for Q3: a block draw gives the
+    values, and leaves the generator state, of as many scalar draws. The
+    starts share one form and the online Q2/Q3 specs one marginal. An error
+    raised for one chain carries its index in ``chain``.
     """
     if not (len(specs) == len(starts) == len(rngs) >= 1):
         raise DomainError("need one spec, start and rng per chain")
@@ -288,49 +315,58 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
         raise DomainError("lockstep chains must share the predictor form")
     gens = [as_generator(r) for r in rngs]
     online = cfg.mode == "online"
+    count = samples.count
     draws = [2 if spec.variant == "Q3" else 1 for spec in specs]  # rows per online step
-    rows, left = {}, 0  # each running chain's drawn rows; steps they still cover
-    running = packed = others = kernel = None  # positions in running: packed or others
+    running = packed = others = kernel = slots = firsts = None
 
-    def grads(W, active, l):
-        nonlocal running, packed, others, kernel, rows, left
-        if active != running:  # first step, or a chain stopped: split the running chains
+    def window(active, steps):
+        nonlocal running, packed, others, kernel, slots, firsts
+        if active != running:  # first window, or a chain stopped: split the running chains
             running = active
             packed = [i for i, c in enumerate(active) if online and specs[c].variant != "Q4"]
             others = [i for i in range(len(active)) if i not in packed]
             kernel = (RowSubgradients([specs[active[i]] for i in packed], samples, starts[0])
                       if packed else None)
-        if online:
-            if not left:
-                left = 1 if cfg.tol > 0 else min(cfg.trace_stride - l % cfg.trace_stride,
-                                                 cfg.max_iter - l, _BLOCK_STEPS)
-                rows = {c: iter(gens[c].integers(0, samples.count, size=left * draws[c]).tolist())
-                        for c in active}
-            left -= 1
-            js = [next(rows[c]) for c in active]
-            bs = [next(rows[c]) for c in active if draws[c] == 2]
-        try:
-            if not others:  # online Q2/Q3 chains only: the kernel's result as it is
-                return kernel(W, js, bs)
+            # a window's drawn rows per step: row j, then b for Q3, of every running
+            # chain in turn; the kernel's slots are j of each, j of each Q3 again, b of each Q3
+            firsts = np.cumsum([0] + [draws[c] for c in active]).tolist()
+            q3 = [firsts[i] for i in packed if draws[active[i]] == 2]
+            slots = np.array([firsts[i] for i in packed] + q3 + [f + 1 for f in q3])
+        if online:  # one row per step
+            drawn = [gens[c].integers(0, count, size=steps * draws[c]).reshape(steps, -1)
+                     for c in active]
+            drawn = np.concatenate(drawn, axis=1) if len(drawn) > 1 else drawn[0]
+        if packed:
+            kstep = kernel.window(drawn.take(slots, axis=1))
+            if not others:  # online Q2/Q3 chains only: the kernel's step as it is
+                return kstep
+        js = {i: drawn[:, firsts[i]].tolist() for i in others} if online else None
+        s = iter(range(steps))
+
+        def step(W):
+            t = next(s)
             G = np.empty_like(W)
             if packed:
-                G[packed] = kernel(W[packed], [js[i] for i in packed], bs)
-        except NonFiniteInput as exc:
-            exc.chain = active[packed[exc.chain]]
-            raise
-        for i in others:
-            c = active[i]
-            p = starts[c].with_weights(W[i])
-            try:
-                G[i] = (subgradient(specs[c], p, samples, js[i]) if online
-                        else mean_subgradient(specs[c], p, samples, rng=gens[c]))
-            except (ValueError, RuntimeError) as exc:
-                exc.chain = c
-                raise
-        return G
+                try:
+                    G[packed] = kstep(W[packed])
+                except NonFiniteInput as exc:
+                    exc.chain = packed[exc.chain]
+                    raise
+            for i in others:
+                c = active[i]
+                p = starts[c].with_weights(W[i])
+                try:
+                    G[i] = (subgradient(specs[c], p, samples, js[i][t]) if online
+                            else mean_subgradient(specs[c], p, samples, rng=gens[c]))
+                except (ValueError, RuntimeError) as exc:
+                    exc.chain = i
+                    raise
+            return G
+
+        return step
 
     values = [ObjectiveValues(spec, samples) for spec in specs]
-    return _descend_chains(grads, values, starts, cfg, gens)
+    return _descend_chains(window, values, starts, cfg, gens)
 
 
 def write_trace_csv(path, result: SolveResult) -> None:

@@ -5,7 +5,8 @@ an index of the lattice hZ in one place, ``_aligned_index``, and all index
 arithmetic after it is on integers. The Gaussian process with covariance
 exp(-|t|/2) is Markov, so exact O(length) recursion replaces dense
 Cholesky; a Python loop runs it with the float operations of
-``scipy.signal.lfilter``, so no Gaussian run imports ``scipy.signal``.
+``scipy.signal.lfilter``, so no Gaussian run imports ``scipy.signal``, and
+the same loop steps many replicate paths at once.
 The stable moving averages ride on an integer innovation lattice
 convolved with a finite exponential kernel whose stable norm is exactly
 one, making the marginal law known in closed form. The autoregressive
@@ -35,6 +36,7 @@ __all__ = [
     "ProcessSpec",
     "default_kernel",
     "simulate_gauss_exp_cov",
+    "simulate_gauss_exp_cov_rows",
     "simulate_stable_ma",
     "simulate_ar",
     "simulate",
@@ -195,26 +197,53 @@ def _check_grid(t0, h, length):
     return float(t0), float(h), int(length)
 
 
+def _gauss_innovations(h, length, rng) -> np.ndarray:
+    """The innovations of one Gaussian path: Z_0, then sqrt(1-r^2) Z_i."""
+    r = np.exp(-h / 2.0)
+    innov = rng.standard_normal(length)
+    innov[1:] *= np.sqrt(1.0 - r * r)
+    return innov
+
+
+def _gauss_recursion(innovations, h) -> list:
+    """``lfilter([1.0], [1.0, -r], x)`` with r = e^{-h/2}, bit for bit.
+
+    Its transposed direct form II, step by step in its order. The steps of
+    ``innovations`` are floats, for one path, or arrays, for as many paths
+    at once: each path gets the same float operations either way.
+    Importing scipy.signal costs more than this loop until a process has
+    simulated millions of steps.
+    """
+    a1 = float(-np.exp(-h / 2.0))
+    values = []
+    z = 0.0
+    for x in innovations:
+        y = z + x
+        values.append(y)
+        z = x * 0.0 - y * a1
+    return values
+
+
 def simulate_gauss_exp_cov(t0, h, length, rng) -> Trajectory:
     """Exact path of the Gaussian process via its Markov recursion.
 
     X(t+h) = r X(t) + sqrt(1-r^2) Z with r = e^{-h/2} and X(t0) ~ N(0,1).
     """
     t0, h, length = _check_grid(t0, h, length)
-    r = np.exp(-h / 2.0)
-    innov = rng.standard_normal(length)
-    innov[1:] *= np.sqrt(1.0 - r * r)
-    # lfilter([1.0], [1.0, -r], innov) bit for bit: its transposed direct
-    # form II steps in its order. Importing scipy.signal costs more than this
-    # loop until a process has simulated millions of steps.
-    a1 = float(-r)
-    values = []
-    z = 0.0
-    for x in innov.tolist():
-        y = z + x
-        values.append(y)
-        z = x * 0.0 - y * a1
+    values = _gauss_recursion(_gauss_innovations(h, length, rng).tolist(), h)
     return Trajectory(t0, h, np.array(values))
+
+
+def simulate_gauss_exp_cov_rows(h, length, rngs) -> np.ndarray:
+    """The values of ``simulate_gauss_exp_cov(t0, h, length, rng)`` for
+    every generator of ``rngs``, one row each, bit for bit.
+
+    Each row draws from its own generator as that call would, and then one
+    recursion steps every row at once. The values do not depend on t0.
+    """
+    _, h, length = _check_grid(0.0, h, length)
+    innov = np.array([_gauss_innovations(h, length, rng) for rng in rngs])
+    return np.array(_gauss_recursion(innov.T, h)).T
 
 
 def simulate_stable_ma(spec: StableMovingAverage, t0, h, length, rng) -> Trajectory:

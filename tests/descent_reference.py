@@ -1,11 +1,11 @@
 """A one-chain descent on a problem given as callables, for the tests.
 
 ``descend`` runs the engine's step loop, ``optimize._descend_chains``, on
-one chain of a ``DescentProblem``: an online step draws its row with one
-scalar ``integers(0, count)`` call and then calls ``row_grad``, a batch step
-calls ``mean_grad``. The optimize tests run it on analytic objectives,
-``test_descend_pins.py`` pins its bits, and the lockstep tests hold every
-chain of ``solve_lockstep`` to it.
+one chain of a ``DescentProblem``, one step at a time whatever the window:
+an online step draws its row with one scalar ``integers(0, count)`` call
+and then calls ``row_grad``, a batch step calls ``mean_grad``. The optimize
+tests run it on analytic objectives, ``test_descend_pins.py`` pins its
+bits, and the lockstep tests hold every chain of ``solve_lockstep`` to it.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ def descend(problem: DescentProblem, p0: Predictor, cfg: DescentConfig, rng) -> 
     """Run the projected subgradient loop on one chain of ``problem``."""
     g = as_generator(rng)
 
-    def grads(W, active, l):
+    def step(W):
         p = p0.with_weights(W[0])
         if cfg.mode == "batch":
             return np.asarray(problem.mean_grad(p, g), dtype=float)
         j = int(g.integers(0, problem.count))
         return np.asarray(problem.row_grad(p, j, g), dtype=float)
 
-    return _descend_chains(grads, [problem.value], [p0], cfg, [g])[0]
+    return _descend_chains(lambda active, steps: step, [problem.value], [p0], cfg, [g])[0]

@@ -228,6 +228,23 @@ def test_bad_descent_type_exit_code_before_simulating(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_infinite_tol_exit_code_before_simulating(tmp_path, capsys, monkeypatch, command):
+    """JSON's Infinity passes ``tol >= 0``; it would stop every chain after one step."""
+    import tailcast.harness
+
+    def no_simulation(spec):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(tailcast.harness, "_simulate_training", no_simulation)
+    cfg = tiny_config(tmp_path, descent={"mode": "online", "max_iter": 30, "tol": float("inf")})
+    assert "Infinity" in open(cfg).read()
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "'descent.tol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
 @pytest.mark.parametrize("overrides, key", [
     ({"process": {"kind": "ar_student_t", "phi": [0.5], "innovation": 5}}, "process.innovation"),
     ({"process": {"kind": "stable_ma", "alpha": "x"}}, "process.alpha"),

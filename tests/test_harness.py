@@ -1,5 +1,5 @@
 import concurrent.futures
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import get_args
 
 import numpy as np
@@ -165,7 +165,8 @@ def test_spec_from_dict_rejects_descent_value_out_of_range_by_key():
     d = spec_to_dict(tiny_gauss_spec())
     for key, value in (("mode", "momentum"), ("selection", "median"), ("constraint", "box"),
                        ("a", 0.0), ("a", float("inf")), ("b", -1.0), ("b", 0.0), ("beta", 0.4),
-                       ("max_iter", 0), ("tol", -1.0), ("tol", float("nan")), ("burn_in", 40),
+                       ("max_iter", 0), ("tol", -1.0), ("tol", float("nan")),
+                       ("tol", float("inf")), ("burn_in", 40),
                        ("trace_stride", 0)):
         d2 = {**d, "descent": {**d["descent"], key: value}}
         with pytest.raises(ConfigError) as err:
@@ -373,6 +374,33 @@ def test_eval_deterministic_and_thread_invariant(tiny_run):
         assert np.array_equal(report.excursion[m], again.excursion[m])
         assert np.array_equal(report.excursion[m], threaded.excursion[m])
         assert np.array_equal(report.wasserstein[m], threaded.wasserstein[m])
+
+
+def test_eval_gaussian_blocks_equal_one_replicate_at_a_time(tiny_run, monkeypatch):
+    """On the calling thread the Gaussian replicates are simulated in blocks
+    of ``_GAUSS_BLOCK``; each row holds ``_replicate_values`` of its
+    replicate, the last block short included."""
+    spec, fits, _ = tiny_run
+    spec = replace(spec, replicates=7)
+    needed = np.array([100, 102, 103, 104, 105])
+    monkeypatch.setattr(tailcast.harness, "_GAUSS_BLOCK", 3)
+    blocks = []
+    real = tailcast.harness._gauss_replicate_values
+
+    def block_values(spec, needed, rows):
+        blocks.append(list(rows))
+        return real(spec, needed, rows)
+
+    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", block_values)
+    report = run_eval(spec, fits, threads=1)
+    assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
+    V = np.vstack([real(spec, needed, rows) for rows in blocks])
+    for r in range(spec.replicates):
+        assert V[r].tobytes() == tailcast.harness._replicate_values(spec, needed, r).tobytes()
+    pooled = run_eval(spec, fits, threads=2)
+    for m in report.methods:
+        assert report.excursion[m].tobytes() == pooled.excursion[m].tobytes()
+        assert report.wasserstein[m].tobytes() == pooled.wasserstein[m].tobytes()
 
 
 def test_eval_rejects_threads_below_one(tiny_run):

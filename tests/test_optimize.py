@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -7,9 +8,11 @@ import pytest
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
 from tailcast.errors import DivergedToNonFinite, DomainError, NonFiniteInput
 from tailcast.objective import (
+    ForecastDesign,
     LearningSamples,
     ObjectiveSpec,
     Predictor,
+    extract_learning_samples,
     mean_subgradient,
     objective_value,
     subgradient,
@@ -22,6 +25,7 @@ from tailcast.optimize import (
     solve_lockstep,
     write_trace_csv,
 )
+from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
 from descent_reference import DescentProblem, descend
@@ -74,6 +78,32 @@ def test_config_validation():
         DescentConfig(constraint="box")
     with pytest.raises(DomainError):
         DescentConfig(trace_stride=0)
+    # a tol of infinity would stop every chain after its first step
+    for tol in (float("inf"), float("nan"), -1e-3):
+        with pytest.raises(DomainError) as err:
+            DescentConfig(tol=tol)
+        assert err.value.key == "tol"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", 2.5), ("max_iter", 300.0), ("max_iter", True), ("max_iter", np.float64(3.0)),
+    ("burn_in", 1.5), ("burn_in", False), ("trace_stride", 10.0), ("trace_stride", "10"),
+    ("trace_stride", np.bool_(True)),
+])
+def test_config_rejects_a_non_integer_count_by_key(key, value):
+    """A float budget never equals the step count, so the solve would never return."""
+    with pytest.raises(DomainError) as err:
+        DescentConfig(mode="batch", **{key: value})
+    assert err.value.key == key
+
+
+def test_config_takes_any_integer_count():
+    cfg = DescentConfig(max_iter=np.int64(40), burn_in=np.int32(5), trace_stride=np.uint8(7))
+    assert (cfg.max_iter, cfg.burn_in, cfg.trace_stride) == (40, 5, 7)
+    assert all(type(v) is int for v in (cfg.max_iter, cfg.burn_in, cfg.trace_stride))
+    res = solve(ObjectiveSpec("Q2", GAUSS), make_samples(), Predictor("linear", np.ones(3)),
+                cfg, RngStream(1, 0).generator())
+    assert res.iterations == 40 and list(res.trace_iterations) == [0, 7, 14, 21, 28, 35, 40]
 
 
 def test_step_schedule():
@@ -393,6 +423,48 @@ def test_lockstep_bit_equal_to_descend_per_chain(kind, marginal, mode):
         got = solve_lockstep(specs, samples, starts, cfg,
                              [RngStream(3, c).generator() for c in range(len(specs))])
         assert_same_results(got, want)
+
+
+# sha256 of both chains' weights, and of their weights, objective traces and
+# trace weights, from ``test_lockstep_production_shape_equals_descend`` at
+# each trace stride, recorded with the engine that stepped one call at a
+# time before trace windows; BLAS row products fix the bits, so the digests
+# are keyed by the numpy version and checked only under it
+PRODUCTION_PINS = {
+    "numpy 2.4.6": {
+        10: ("e08e5886fb7356adad2d32530870e1edee2d0ad7eb9313aa50eb0599701a7337",
+             "300b9c984248e2f7f2648bdc81badb77b91f3ba849d51e33479659c7c461ea10"),
+        300: ("30a803bafc1f3a40277b2046f0bb087eb525a0eb5f45987093bb09ecdda162d0",
+              "d52b9866a1d127f969cf11877d6e7d73651719b855515aa0dbdccd0762743407"),
+    },
+}
+
+
+@pytest.mark.parametrize("stride", [10, 300])
+def test_lockstep_production_shape_equals_descend(stride):
+    """The online_extrap shape: a Q2 and a Q3 (gamma 5) chain on N = 1000
+    Gaussian rows of n = 10, 300 steps, best-iterate selection. Each chain
+    equals ``descend`` on it alone; the pinned digests guard the bits the
+    oracle shares with the engine through ``_descend_chains``."""
+    traj = simulate_gauss_exp_cov(0.0, 0.02, 1500, RngStream(23, 1).generator())
+    design = ForecastDesign(tuple(round(0.1 * i, 9) for i in range(10)), 1.0, 0.02, (0.0, 29.98))
+    samples = extract_learning_samples(traj, design, max_n=1000, rng=RngStream(23, 2).generator())
+    assert (samples.count, samples.n) == (1000, 10)
+    specs = [ObjectiveSpec("Q2", GAUSS), ObjectiveSpec("Q3", GAUSS, gamma=5.0)]
+    starts = [Predictor("linear", np.full(10, 0.1)), Predictor("linear", np.eye(10)[0])]
+    cfg = DescentConfig(mode="online", max_iter=300, selection="best", trace_stride=stride)
+    got = solve_lockstep(specs, samples, starts, cfg, [RngStream(23, 3).generator(c) for c in range(2)])
+    want = [descend_oracle(spec, samples, p0, cfg, RngStream(23, 3).generator(c))
+            for c, (spec, p0) in enumerate(zip(specs, starts))]
+    assert_same_results(got, want)
+    pins = PRODUCTION_PINS.get(f"numpy {np.__version__}")
+    if pins is not None:
+        traces = hashlib.sha256()
+        for r in got:
+            for a in (r.weights, r.objective_trace, r.trace_weights):
+                traces.update(a.tobytes())
+        weights = hashlib.sha256(b"".join(r.weights.tobytes() for r in got))
+        assert (weights.hexdigest(), traces.hexdigest()) == pins[stride]
 
 
 def test_lockstep_chains_stop_at_different_steps():

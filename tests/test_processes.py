@@ -13,6 +13,7 @@ from tailcast.processes import (
     simulate,
     simulate_ar,
     simulate_gauss_exp_cov,
+    simulate_gauss_exp_cov_rows,
     simulate_stable_ma,
     write_trajectory_csv,
 )
@@ -149,6 +150,32 @@ def test_gauss_path_is_lfilter_bit_for_bit(h):
         want = signal.lfilter([1.0], [1.0, -r], innov)
         got = simulate_gauss_exp_cov(0.0, h, z.size, GivenNormals(z)).values
         assert got.tobytes() == want.tobytes(), (h, z.size)
+
+
+@pytest.mark.parametrize("R", [1, 3, 257])
+@pytest.mark.parametrize("L", [1, 2, 101])
+def test_gauss_rows_equal_one_simulate_per_row(R, L):
+    """Row r of the block is the path ``simulate`` gives from generator r."""
+    h = 0.02
+    block = simulate_gauss_exp_cov_rows(h, L, (RngStream(11, 4).generator(r) for r in range(R)))
+    assert block.shape == (R, L)
+    for r in range(R):
+        path = simulate(GaussExpCov(), 30.0, h, L, RngStream(11, 4).generator(r)).values
+        assert block[r].tobytes() == path.tobytes(), (R, L, r)
+
+
+def test_gauss_rows_equal_lfilter_per_row():
+    """Each row gives the bytes of scipy.signal.lfilter on its own innovations."""
+    from scipy import signal
+
+    h, R, L = 0.1, 257, 101
+    r = np.exp(-h / 2.0)
+    block = simulate_gauss_exp_cov_rows(h, L, (RngStream(12, 4).generator(i) for i in range(R)))
+    for i in range(R):
+        innov = RngStream(12, 4).generator(i).standard_normal(L)
+        innov[1:] *= np.sqrt(1.0 - r * r)
+        want = signal.lfilter([1.0], [1.0, -r], innov)
+        assert block[i].tobytes() == want.tobytes(), i
 
 
 def test_gauss_lag_one_correlation():
