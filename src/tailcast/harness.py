@@ -48,8 +48,8 @@ from .processes import (
     ProcessSpec,
     Trajectory,
     _aligned_index,
+    _simulate_gauss_rows,
     simulate,
-    simulate_gauss_exp_cov_rows,
 )
 from .baselines import covariances_exp, exact_excursion_weights, simple_kriging_weights
 from .rng import RngStream
@@ -454,7 +454,7 @@ def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, r: int) -> np.nd
     return traj.values[needed - k0]
 
 
-# Gaussian replicates simulated together on the calling thread. The cap keeps
+# Gaussian replicates simulated together by one thread. The cap keeps
 # the block's arrays small: on online_extrap's 1000 replicates the traced
 # peak of an evaluation is 1198 KB one path at a time, 1227 KB in blocks of
 # 64 and 1381 KB in blocks of 128, and one block of 1000 raised the peak RSS
@@ -467,8 +467,8 @@ def _gauss_replicate_values(spec: ExperimentSpec, needed: np.ndarray, rows) -> n
     each, from one recursion over all of them."""
     stream = RngStream(spec.seed, STREAM_EVAL)
     k0 = int(needed.min())
-    paths = simulate_gauss_exp_cov_rows(spec.h, int(needed.max()) - k0 + 1,
-                                        (stream.generator(r) for r in rows))
+    paths = _simulate_gauss_rows(spec.h, int(needed.max()) - k0 + 1,
+                                 (stream.generator(r) for r in rows))
     return paths[:, needed - k0]
 
 
@@ -478,9 +478,9 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     Replicates are simulated on ``min(threads, replicates)`` worker threads,
     worker w taking replicates w, w + workers, w + 2 workers, ...; each
     replicate owns its stream, so every output byte is the same for any
-    thread count. On the calling thread alone, the Gaussian process's
-    replicates are simulated ``_GAUSS_BLOCK`` at a time, each block by one
-    recursion, with the same bytes.
+    thread count. Each thread simulates its Gaussian replicates
+    ``_GAUSS_BLOCK`` at a time, each block by one recursion, with the same
+    bytes.
 
     ``threads=None`` picks the count from the process: one thread per CPU for
     an AR process, whose every replicate first simulates DEFAULT_AR_BURN_IN =
@@ -504,18 +504,20 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     workers = min(threads, R)
 
     def fill(w):
-        for r in range(w, R, workers):
-            V[r] = _replicate_values(spec, needed, r)
+        rows = range(w, R, workers)
+        if isinstance(spec.process, GaussExpCov):
+            for i in range(0, len(rows), _GAUSS_BLOCK):
+                block = rows[i:i + _GAUSS_BLOCK]
+                V[block.start:block.stop:block.step] = _gauss_replicate_values(spec, needed, block)
+        else:
+            for r in rows:
+                V[r] = _replicate_values(spec, needed, r)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # by default, AR evaluation alone pools
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(workers)))
-    elif isinstance(spec.process, GaussExpCov):
-        for r0 in range(0, R, _GAUSS_BLOCK):
-            rows = range(r0, min(R, r0 + _GAUSS_BLOCK))
-            V[r0:rows.stop] = _gauss_replicate_values(spec, needed, rows)
     else:
         fill(0)
 

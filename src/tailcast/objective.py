@@ -17,12 +17,11 @@ All three have exact subgradients in the weights; kinks (ties in the max
 terms) use strict-inequality indicators without smoothing.
 
 Only ``Predictor.values``, ``Predictor.jacobian`` and ``Predictor.rows``
-know the predictor form; ``RowSubgradients`` computes the linear form's
-row values with ``np.vecdot`` itself, as ``Predictor.rows`` does. The
-descent engine (``optimize.solve_lockstep``) steps the online Q2/Q3 chains
-with one ``RowSubgradients`` step: one row-wise product gives all their row
-values and jacobian rows (one weight row per data row), one unchecked pdf
-call covers their values and one cdf call the Q3 chains' F(g_j). An online
+know the predictor form. The descent engine (``optimize.solve_lockstep``)
+steps the online Q2/Q3 chains with one ``RowSubgradients`` step: one
+``Predictor.rows`` call gives all their row values and jacobian rows
+(``np.vecdot``, one weight row per data row), one unchecked pdf call
+covers their values and one cdf call the Q3 chains' F(g_j). An online
 Q4 chain steps with ``subgradient``, a batch chain with
 ``mean_subgradient``, both on one row block (``_row_block``: predictions,
 jacobian rows, pdf values, Q2 coefficient). The row and mean forms stay
@@ -152,10 +151,9 @@ class Predictor:
     def with_weights(self, w: np.ndarray) -> "Predictor":
         """The same form with weights ``w``, without re-validation.
 
-        ``w`` must be a finite float array of the current length: 1-D, or
-        for ``rows`` one weight row per data row. The descent loops check
-        every new iterate for that before it gets here. Build a
-        ``Predictor`` directly to validate untrusted weights.
+        ``w`` must be a finite 1-D float array of the current length. The
+        descent loops check every new iterate for that before it gets here.
+        Build a ``Predictor`` directly to validate untrusted weights.
         """
         p = object.__new__(Predictor)
         object.__setattr__(p, "kind", self.kind)
@@ -170,34 +168,40 @@ class Predictor:
             return X @ (self.weights * self.weights)
         return np.max(X * self.weights, axis=1)
 
-    def jacobian(self, X) -> np.ndarray:
-        """d g / d weights, one row per row of X."""
+    def jacobian(self, X, w=None) -> np.ndarray:
+        """d g / d weights, one row per row of X, at ``w`` (default: these
+        weights; one vector, or one row per row of X)."""
         if self.kind == "linear":
             return X
+        if w is None:
+            w = self.weights
         if self.kind == "squared":
-            return 2.0 * self.weights * X
-        scaled = X * self.weights
+            return 2.0 * w * X
+        scaled = X * w
         arg = np.argmax(scaled, axis=1)  # ties -> lowest index
         G = np.zeros_like(X)
         rows = np.arange(X.shape[0])
         G[rows, arg] = X[rows, arg]
         return G
 
-    def rows(self, X):
-        """Values and jacobian rows on the 2-D rows X.
+    def rows(self, X, w=None):
+        """Values and jacobian rows on the 2-D rows X at ``w``.
 
-        The weights are one vector, or one row per row of X. Each value
-        rounds like the one-row product ``X[i:i+1] @ w`` (measured for
-        ``np.vecdot`` at n <= 12 with numpy 2.4.6's OpenBLAS on x86-64; BLAS
-        does not promise it, and the golden digests guard it), which
-        ``values``, a matrix product over the whole block, does not.
+        ``w`` defaults to these weights; it is one vector, or one row per
+        row of X, finite and of the current length, and is not checked, as
+        in ``with_weights``. Each value rounds like the one-row product
+        ``X[i:i+1] @ w`` (measured for ``np.vecdot`` at n <= 12 with numpy
+        2.4.6's OpenBLAS on x86-64; BLAS does not promise it, and the golden
+        digests guard it), which ``values``, a matrix product over the whole
+        block, does not.
         """
-        w = self.weights
+        if w is None:
+            w = self.weights
+        if self.kind == "linear":
+            return np.vecdot(X, w), X
         if self.kind == "max":
-            g = np.max(X * w, axis=1)
-        else:
-            g = np.vecdot(X, w * w if self.kind == "squared" else w)
-        return g, self.jacobian(X)
+            return np.max(X * w, axis=1), self.jacobian(X, w)
+        return np.vecdot(X, w * w), self.jacobian(X, w)
 
 
 @dataclass(frozen=True)
@@ -289,8 +293,7 @@ class RowSubgradients:
     slot s's jacobian row is the one term s needs. A call ``(W, js, bs)``
     takes one row index per chain and one bootstrap row index per Q3 chain,
     in chain order, and returns the (K, n) subgradients from one pass: one
-    row-wise product over the slots (``np.vecdot`` for the linear form,
-    ``Predictor.rows`` otherwise), one unchecked pdf call on all slot
+    ``Predictor.rows`` over the slots, one unchecked pdf call on all slot
     values, one cdf call on the Q3 chains' g_j. ``window`` returns the step
     of each of a run of steps as one function. Every chain keeps the float
     operations of the one-chain formulas
@@ -310,7 +313,7 @@ class RowSubgradients:
         if any(s.variant not in ("Q2", "Q3") or s.marginal != marginal for s in specs):
             raise DomainError("packed row subgradients need Q2/Q3 functionals on one marginal")
         self.chains, self.X, self.y = len(specs), samples.X, samples.y
-        self.form = None if form.kind == "linear" else form
+        self.form = form
         self.pdf, self.cdf = marginal._pdf, marginal._cdf
         self.penalized = [c for c, s in enumerate(specs) if s.variant == "Q3"]
         self.gammas = [specs[c].gamma for c in self.penalized]
@@ -330,7 +333,7 @@ class RowSubgradients:
         Row i of ``rows`` holds step i's slot rows; the i-th call ``(W)`` of
         the returned function returns step i's subgradients at W.
         """
-        X, form, pdf, cdf, gammas = self.X, self.form, self.pdf, self.cdf, self.gammas
+        X, form_rows, pdf, cdf, gammas = self.X, self.form.rows, self.pdf, self.cdf, self.gammas
         K, slot_chain, wsel, terms = self.chains, self.slot_chain, self.wsel, self.terms
         KP = K + len(terms)
         steps = zip(X.take(rows, axis=0), self.y.take(rows[:, :K]).tolist())
@@ -338,10 +341,7 @@ class RowSubgradients:
         def step(W):
             R, yj = next(steps)
             Wr = W.take(wsel, axis=0) if terms else W
-            if form is None:
-                g, J = np.vecdot(R, Wr), R
-            else:
-                g, J = form.with_weights(Wr).rows(R)
+            g, J = form_rows(R, Wr)
             gl = g.tolist()
             if not math.isfinite(sum(gl)):  # finite slots may overflow the sum: look at each
                 for slot, v in enumerate(gl):

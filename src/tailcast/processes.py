@@ -36,7 +36,6 @@ __all__ = [
     "ProcessSpec",
     "default_kernel",
     "simulate_gauss_exp_cov",
-    "simulate_gauss_exp_cov_rows",
     "simulate_stable_ma",
     "simulate_ar",
     "simulate",
@@ -234,7 +233,7 @@ def simulate_gauss_exp_cov(t0, h, length, rng) -> Trajectory:
     return Trajectory(t0, h, np.array(values))
 
 
-def simulate_gauss_exp_cov_rows(h, length, rngs) -> np.ndarray:
+def _simulate_gauss_rows(h, length, rngs) -> np.ndarray:
     """The values of ``simulate_gauss_exp_cov(t0, h, length, rng)`` for
     every generator of ``rngs``, one row each, bit for bit.
 

@@ -377,9 +377,10 @@ def test_eval_deterministic_and_thread_invariant(tiny_run):
 
 
 def test_eval_gaussian_blocks_equal_one_replicate_at_a_time(tiny_run, monkeypatch):
-    """On the calling thread the Gaussian replicates are simulated in blocks
-    of ``_GAUSS_BLOCK``; each row holds ``_replicate_values`` of its
-    replicate, the last block short included."""
+    """Each thread simulates its Gaussian replicates in blocks of
+    ``_GAUSS_BLOCK``, the last block short; each row holds
+    ``_replicate_values`` of its replicate, and the report is the one that
+    simulating one replicate at a time gives, for any thread count."""
     spec, fits, _ = tiny_run
     spec = replace(spec, replicates=7)
     needed = np.array([100, 102, 103, 104, 105])
@@ -394,13 +395,23 @@ def test_eval_gaussian_blocks_equal_one_replicate_at_a_time(tiny_run, monkeypatc
     monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", block_values)
     report = run_eval(spec, fits, threads=1)
     assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
-    V = np.vstack([real(spec, needed, rows) for rows in blocks])
-    for r in range(spec.replicates):
-        assert V[r].tobytes() == tailcast.harness._replicate_values(spec, needed, r).tobytes()
+    del blocks[:]
     pooled = run_eval(spec, fits, threads=2)
-    for m in report.methods:
-        assert report.excursion[m].tobytes() == pooled.excursion[m].tobytes()
-        assert report.wasserstein[m].tobytes() == pooled.wasserstein[m].tobytes()
+    assert sorted(blocks) == [[0, 2, 4], [1, 3, 5], [6]]
+    for rows in blocks:
+        V = real(spec, needed, rows)
+        for i, r in enumerate(rows):
+            assert V[i].tobytes() == tailcast.harness._replicate_values(spec, needed, r).tobytes()
+
+    def one_at_a_time(spec, needed, rows):
+        return np.array([tailcast.harness._replicate_values(spec, needed, r) for r in rows])
+
+    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", one_at_a_time)
+    want = run_eval(spec, fits, threads=1)
+    for got in (report, pooled):
+        for m in want.methods:
+            assert got.excursion[m].tobytes() == want.excursion[m].tobytes()
+            assert got.wasserstein[m].tobytes() == want.wasserstein[m].tobytes()
 
 
 def test_eval_rejects_threads_below_one(tiny_run):
@@ -472,7 +483,7 @@ def test_eval_default_pools_ar_replicates_on_every_cpu(tiny_run, monkeypatch):
 def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
     spec, fits, report = tiny_run
     tasks, order = [], []
-    real = tailcast.harness._replicate_values
+    real = tailcast.harness._gauss_replicate_values  # tiny_run's process is Gaussian
 
     class Recorder:
         def __init__(self, max_workers):
@@ -489,12 +500,12 @@ def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
             tasks.append(items)
             return map(fn, items)
 
-    def replicate_values(spec, needed, r):
-        order.append(r)
-        return real(spec, needed, r)
+    def replicate_values(spec, needed, rows):
+        order.extend(rows)
+        return real(spec, needed, rows)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(tailcast.harness, "_replicate_values", replicate_values)
+    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", replicate_values)
     strided = run_eval(spec, fits, threads=3)
     assert tasks == [[0, 1, 2]]
     R = spec.replicates

@@ -9,11 +9,11 @@ from tailcast.processes import (
     GaussExpCov,
     StableMovingAverage,
     Trajectory,
+    _simulate_gauss_rows,
     default_kernel,
     simulate,
     simulate_ar,
     simulate_gauss_exp_cov,
-    simulate_gauss_exp_cov_rows,
     simulate_stable_ma,
     write_trajectory_csv,
 )
@@ -157,7 +157,7 @@ def test_gauss_path_is_lfilter_bit_for_bit(h):
 def test_gauss_rows_equal_one_simulate_per_row(R, L):
     """Row r of the block is the path ``simulate`` gives from generator r."""
     h = 0.02
-    block = simulate_gauss_exp_cov_rows(h, L, (RngStream(11, 4).generator(r) for r in range(R)))
+    block = _simulate_gauss_rows(h, L, (RngStream(11, 4).generator(r) for r in range(R)))
     assert block.shape == (R, L)
     for r in range(R):
         path = simulate(GaussExpCov(), 30.0, h, L, RngStream(11, 4).generator(r)).values
@@ -170,7 +170,7 @@ def test_gauss_rows_equal_lfilter_per_row():
 
     h, R, L = 0.1, 257, 101
     r = np.exp(-h / 2.0)
-    block = simulate_gauss_exp_cov_rows(h, L, (RngStream(12, 4).generator(i) for i in range(R)))
+    block = _simulate_gauss_rows(h, L, (RngStream(12, 4).generator(i) for i in range(R)))
     for i in range(R):
         innov = RngStream(12, 4).generator(i).standard_normal(L)
         innov[1:] *= np.sqrt(1.0 - r * r)
