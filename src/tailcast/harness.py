@@ -472,6 +472,14 @@ def _gauss_replicate_values(spec: ExperimentSpec, needed: np.ndarray, rows) -> n
     return paths[:, needed - k0]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one (``taskset`` shrinks it), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = None) -> EvalReport:
     """Monte Carlo evaluation of the fitted predictors on fresh replicates.
 
@@ -482,15 +490,16 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     ``_GAUSS_BLOCK`` at a time, each block by one recursion, with the same
     bytes.
 
-    ``threads=None`` picks the count from the process: one thread per CPU for
-    an AR process, whose every replicate first simulates DEFAULT_AR_BURN_IN =
-    10,000 burn-in steps, and the calling thread alone for the others, whose
-    replicates span a few hundred steps in the presets. On 2 vCPUs a second
+    ``threads=None`` picks the count from the process: one thread per usable
+    CPU (``_usable_cpus``) for an AR process, whose every replicate first
+    simulates DEFAULT_AR_BURN_IN = 10,000 burn-in steps, and the calling
+    thread alone for the others, whose replicates span a few hundred steps
+    in the presets. On 2 vCPUs a second
     thread saved time for every process from 4,000 steps per replicate on,
     and below 1,000 it mostly cost time (README, "Evaluation threads").
     """
     if threads is None:
-        threads = (os.cpu_count() or 1) if isinstance(spec.process, ArStudentT) else 1
+        threads = _usable_cpus() if isinstance(spec.process, ArStudentT) else 1
     if threads < 1:
         raise DomainError("threads must be >= 1", key="threads")
     marginal = fits.marginal

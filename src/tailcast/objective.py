@@ -446,33 +446,86 @@ def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, 
     return coeff[j] * G[j] + pen * pg[j] * G[j] - 2.0 * spec.gamma / N * cross
 
 
-def _rank_counts(f):
-    """(#{i<j: f_i < f_j}, #{i>j: f_i < f_j}) for every j, in O(N log^2 N).
+def _rank_levels(n):
+    """The index layouts of ``_rank_counts``'s merge levels for n values.
 
-    ``total`` = #{i: f_i < f_j} doubles as an integer rank (ties share one).
-    Bottom-up merge levels then count, for each element of a right half, the
-    strictly smaller ranks in its left half: in the sorted left-half keys
-    ``block * N + rank``, the blocks before block b hold b * width keys, all
-    below b * N, so one ``searchsorted`` minus b * width is that count.
+    They depend on n alone, so a solve builds them once for all its steps.
+    Level by level, the positions of the left and of the right halves of the
+    blocks of 2 * width, with the key offsets block * n of each; and, summed
+    over the levels, the block * width that a right-half count subtracts.
+    They hold about 2 n log2(n) integers, 27 MB at n = 10^5, so nothing
+    keeps them past the solve that built them.
     """
-    n = f.size
-    total = np.searchsorted(np.sort(f), f, side="left")
     pos = np.arange(n)
-    before = np.zeros(n, dtype=total.dtype)
+    levels, offset = [], np.zeros(n, dtype=np.intp)
     width = 1
     while width < n:
-        block, offset = np.divmod(pos, 2 * width)
-        left = offset < width
+        block, rest = np.divmod(pos, 2 * width)
+        left = rest < width
         right = ~left
-        keys = block * n + total
-        lk = np.sort(keys[left])
-        before[right] += np.searchsorted(lk, keys[right], side="left") - block[right] * width
+        levels.append((pos[left], block[left] * n, pos[right], block[right] * n))
+        offset[right] += block[right] * width
         width *= 2
+    return levels, offset
+
+
+def _level_counts(total, levels):
+    """Sum over ``levels`` of each right-half element's count of smaller keys
+    in its left half (``offset`` not yet subtracted). numpy calls only, so
+    it may run on a worker thread."""
+    counts = np.zeros(total.size, dtype=np.intp)
+    for lpos, lkey, rpos, rkey in levels:
+        lk = total.take(lpos)
+        lk += lkey
+        lk.sort()
+        rk = total.take(rpos)
+        rk += rkey
+        counts[rpos] += np.searchsorted(lk, rk, side="left")
+    return counts
+
+
+def _rank_counts(f, pool=None, levels=None):
+    """(#{i<j: f_i < f_j}, #{i>j: f_i < f_j}) for every j, in O(N log^2 N).
+
+    ``total`` = #{i: f_i < f_j} doubles as an integer rank (ties share one);
+    it is the start of f_j's run of equal values in sorted f, so f must hold
+    no NaN. Bottom-up merge levels then count, for each element of a right
+    half, the strictly smaller ranks in its left half: in the sorted
+    left-half keys ``block * N + rank``, the blocks before block b hold
+    b * width keys, all below b * N, so one ``searchsorted`` minus b * width
+    is that count. ``levels`` is ``_rank_levels(N)``, built here if not
+    given. Each level adds exact integers, so the levels run in any order:
+    with ``pool``, a one-worker executor, the worker counts every other
+    level while this thread counts the rest (the sorts and searches release
+    the GIL); without it this thread counts them all, with the same result.
+    An error raised on the worker reaches the caller here.
+    """
+    n = f.size
+    levels, offset = _rank_levels(n) if levels is None else levels
+    order = np.argsort(f)
+    s = f[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:])
+    first = np.where(starts, np.arange(n), 0)
+    np.maximum.accumulate(first, out=first)
+    total = np.empty(n, dtype=np.intp)
+    total[order] = first
+    share = pool.submit(_level_counts, total, levels[1::2]) if pool is not None else None
+    before = _level_counts(total, levels[0::2])
+    before += _level_counts(total, levels[1::2]) if share is None else share.result()
+    before -= offset
     return before, total - before
 
 
-def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> np.ndarray:
-    """Subgradient of the mean functional (what batch descent steps along)."""
+def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None,
+                     pool=None, levels=None) -> np.ndarray:
+    """Subgradient of the mean functional (what batch descent steps along).
+
+    Q4 counts its ranks with ``_rank_counts``, passing on ``pool`` and
+    ``levels``: a solve builds ``_rank_levels(N)`` once and opens one worker
+    for its steps, and a call without them gets the same bits.
+    """
     ghat, G, pg, coeff = _row_block(spec, p, samples, slice(None))
     if spec.variant == "Q2":
         return (coeff[:, None] * G).mean(axis=0)
@@ -486,7 +539,7 @@ def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples
         return ((coeff[:, None] * G) + (cross[:, None] * G[idx])).mean(axis=0)
     # Q4: r_j = #{i<j: F_i < F_j}, c_j = #{i>j: F_i < F_j}, exact int64 counts
     # (the pinned bytes need the float updates below to see these integers)
-    r, c = _rank_counts(fg)
+    r, c = _rank_counts(fg, pool, levels)
     coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
     coeff = coeff - 2.0 * spec.gamma / N * c * pg
     return (coeff[:, None] * G).mean(axis=0)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 from dataclasses import fields, replace
 from typing import get_args
 
@@ -27,6 +28,7 @@ from tailcast.harness import (
     write_eval_csv,
     write_weights_csv,
 )
+from tailcast.harness import _usable_cpus
 from tailcast.optimize import DescentConfig
 from tailcast.processes import _KINDS, ArStudentT, GaussExpCov, ProcessSpec, StableMovingAverage
 
@@ -458,14 +460,14 @@ def test_eval_pool_capped_at_replicate_count(tiny_run, monkeypatch):
 
 
 def test_eval_default_pools_ar_replicates_on_every_cpu(tiny_run, monkeypatch):
-    """By default an AR process gets min(cpu_count, replicates) workers and any
+    """By default an AR process gets min(usable CPUs, replicates) workers and any
     other process no pool; either way the report equals the one-thread one."""
     gauss_spec, gauss_fits, _ = tiny_run
     ar_spec = tiny_gauss_spec(process=ArStudentT((0.1, 0.25, 0.5), StudentT(0.0, 1.0, 0.8)),
                               marginal_mode="estimated", marginal_family="student_t",
                               replicates=5)
     ar_fits = run_fit(ar_spec)
-    monkeypatch.setattr(tailcast.harness.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 3)
     sizes = record_pools(monkeypatch)
     for spec, fits, pools in ((ar_spec, ar_fits, [3]), (gauss_spec, gauss_fits, [])):
         sizes.clear()
@@ -474,10 +476,25 @@ def test_eval_default_pools_ar_replicates_on_every_cpu(tiny_run, monkeypatch):
         for m in single.methods:
             assert np.array_equal(chosen.excursion[m], single.excursion[m])
             assert np.array_equal(chosen.wasserstein[m], single.wasserstein[m])
-    monkeypatch.setattr(tailcast.harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 8)
     sizes.clear()
     run_eval(ar_spec, ar_fits)
     assert sizes == [ar_spec.replicates]
+
+
+def test_usable_cpus_counts_the_affinity_set(monkeypatch):
+    """The CPUs of the process's affinity set where the platform has one
+    (``taskset -c 0`` leaves one of the machine's CPUs), else
+    ``os.cpu_count()``, and 1 when that is unknown."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if hasattr(os, "sched_getaffinity"):
+        assert _usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
 
 
 def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):

@@ -67,6 +67,14 @@ def test_cli_import_leaves_signal_unloaded():
     assert out == "[]"
 
 
+def test_cli_import_leaves_thread_pools_unloaded():
+    """Every thread pool (evaluation's replicate workers, the Gini worker,
+    a batch Q4 solve's rank worker) imports ``concurrent.futures`` where it
+    opens, so the import does not load it."""
+    out = fresh_interpreter("import sys, tailcast.cli; print('concurrent.futures' in sys.modules)")
+    assert out == "False"
+
+
 def small_config(tmp_path, process, marginal_mode="estimated"):
     path = tmp_path / f"{process['kind']}.json"
     family = {"marginal_family": "gaussian"} if marginal_mode == "estimated" else {}
