@@ -185,12 +185,16 @@ class Levy(Marginal):
 
     def _pdf(self, x):
         c = self.c
-        # the product is the more accurate form; where one factor over- or underflows
-        # (or c / (2 pi) rounds to 0) it is 0 or not finite, and the logs take over
+        tiny = np.finfo(float).tiny
+        # the product is the more accurate form while its factors are normal floats;
+        # where one over- or underflows, or is subnormal and has lost bits (c / (2 pi)
+        # too), the product is inaccurate, 0 or not finite, and the logs take over
         with np.errstate(all="ignore"):  # x <= 0 is masked out
-            p = np.sqrt(c / (2.0 * np.pi)) * x ** -1.5 * np.exp(-c / (2.0 * x))
+            scale, power, tail = c / (2.0 * np.pi), x ** -1.5, np.exp(-c / (2.0 * x))
+            p = np.sqrt(scale) * power * tail
             logp = 0.5 * (np.log(c) - np.log(2.0 * np.pi)) - 1.5 * np.log(x) - c / (2.0 * x)
-            return np.where(x > 0, np.where((p > 0) & (p < np.inf), p, np.exp(logp)), 0.0)
+            kept = (p > 0) & (p < np.inf) & (scale >= tiny) & (power >= tiny) & (tail >= tiny)
+            return np.where(x > 0, np.where(kept, p, np.exp(logp)), 0.0)
 
     def _quantile(self, p):
         # invert erfc(sqrt(c/(2x))) = p

@@ -16,6 +16,7 @@ so outputs are identical across runs and thread counts.
 
 from __future__ import annotations
 
+import numbers
 import os
 import reprlib
 import time
@@ -92,7 +93,13 @@ def _on_lattice(key, times, h) -> list:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one simulation experiment."""
+    """Full description of one simulation experiment.
+
+    Construction checks each key and the geometry the keys make together,
+    raising a ConfigError that names the key. Forecast offsets and prediction
+    points may lie anywhere on the lattice, for every process; a fitted point
+    needs a lattice index >= 0.
+    """
 
     name: str
     process: ProcessSpec
@@ -164,18 +171,12 @@ class ExperimentSpec:
         if self.marginal_mode == "estimated" and w_hi - w_lo + 1 < need:
             raise ConfigError("window", f"holds {w_hi - w_lo + 1} lattice points; estimating "
                                         f"the marginal needs at least {need}")
-        # a fitted point's streams are keyed by its lattice index, and an AR
-        # replicate is simulated from lattice index 0 on, so neither may lie below 0
+        # a fitted point's streams are keyed by its lattice index, so it may not lie below 0
         off = set(offsets)
         first_fit = next((k for k in range(g_lo, g_hi + 1) if k not in off), 0)
         if first_fit < 0:
             raise ConfigError("prediction_interval", f"fits a point at lattice index {first_fit}; "
                                                      "fitted points need indices >= 0")
-        if isinstance(self.process, ArStudentT):
-            for key, lo in (("forecast_offsets", min(offsets)), ("prediction_interval", g_lo)):
-                if lo < 0:
-                    raise ConfigError(key, f"reaches lattice index {lo}; an AR replicate "
-                                           "starts at lattice index 0")
 
     # --- derived geometry -------------------------------------------------
     @property
@@ -444,32 +445,30 @@ class EvalReport:
     replicates: int
 
 
-def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, r: int) -> np.ndarray:
-    """Values of one fresh trajectory at the needed lattice indices."""
-    rng = RngStream(spec.seed, STREAM_EVAL).generator(r)
-    # the AR recursion needs its past: simulate from lattice origin
-    k0 = 0 if isinstance(spec.process, ArStudentT) else int(needed.min())
-    length = int(needed.max()) - k0 + 1
-    traj = simulate(spec.process, _time_of(k0, spec.h), spec.h, length, rng)
-    return traj.values[needed - k0]
+# Replicates simulated together by one thread. The cap keeps the block's
+# arrays small: on online_extrap's 1000 replicates the traced peak of an
+# evaluation is 1198 KB one path at a time, 1227 KB in blocks of 64 and
+# 1381 KB in blocks of 128, and one block of 1000 raised the peak RSS by
+# 1.2 MB more than blocks of 128
+_REPLICATE_BLOCK = 64
 
 
-# Gaussian replicates simulated together by one thread. The cap keeps
-# the block's arrays small: on online_extrap's 1000 replicates the traced
-# peak of an evaluation is 1198 KB one path at a time, 1227 KB in blocks of
-# 64 and 1381 KB in blocks of 128, and one block of 1000 raised the peak RSS
-# by 1.2 MB more than blocks of 128
-_GAUSS_BLOCK = 64
-
-
-def _gauss_replicate_values(spec: ExperimentSpec, needed: np.ndarray, rows) -> np.ndarray:
-    """``_replicate_values`` of each Gaussian replicate in ``rows``, one row
-    each, from one recursion over all of them."""
+def _replicate_values(spec: ExperimentSpec, needed: np.ndarray, rows) -> np.ndarray:
+    """Values of fresh replicates ``rows`` at the needed lattice indices, one
+    row each. A Gaussian block runs one recursion over all its rows; any
+    other process one ``simulate`` call per replicate, each indexed before
+    the next is simulated. A replicate starts at its first needed index, but
+    an AR one, whose recursion needs its past, no later than lattice index 0."""
     stream = RngStream(spec.seed, STREAM_EVAL)
     k0 = int(needed.min())
-    paths = _simulate_gauss_rows(spec.h, int(needed.max()) - k0 + 1,
-                                 (stream.generator(r) for r in rows))
-    return paths[:, needed - k0]
+    if isinstance(spec.process, ArStudentT):
+        k0 = min(k0, 0)
+    length = int(needed.max()) - k0 + 1
+    if isinstance(spec.process, GaussExpCov):
+        paths = _simulate_gauss_rows(spec.h, length, (stream.generator(r) for r in rows))
+        return paths[:, needed - k0]
+    return np.array([simulate(spec.process, _time_of(k0, spec.h), spec.h, length,
+                              stream.generator(r)).values[needed - k0] for r in rows])
 
 
 def _usable_cpus() -> int:
@@ -486,9 +485,8 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     Replicates are simulated on ``min(threads, replicates)`` worker threads,
     worker w taking replicates w, w + workers, w + 2 workers, ...; each
     replicate owns its stream, so every output byte is the same for any
-    thread count. Each thread simulates its Gaussian replicates
-    ``_GAUSS_BLOCK`` at a time, each block by one recursion, with the same
-    bytes.
+    thread count. Each thread simulates its replicates ``_REPLICATE_BLOCK``
+    at a time through ``_replicate_values``, for every process.
 
     ``threads=None`` picks the count from the process: one thread per usable
     CPU (``_usable_cpus``) for an AR process, whose every replicate first
@@ -500,6 +498,8 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     """
     if threads is None:
         threads = _usable_cpus() if isinstance(spec.process, ArStudentT) else 1
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+        raise DomainError(f"threads must be an integer, got {reprlib.repr(threads)}", key="threads")
     if threads < 1:
         raise DomainError("threads must be >= 1", key="threads")
     marginal = fits.marginal
@@ -514,13 +514,9 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
 
     def fill(w):
         rows = range(w, R, workers)
-        if isinstance(spec.process, GaussExpCov):
-            for i in range(0, len(rows), _GAUSS_BLOCK):
-                block = rows[i:i + _GAUSS_BLOCK]
-                V[block.start:block.stop:block.step] = _gauss_replicate_values(spec, needed, block)
-        else:
-            for r in rows:
-                V[r] = _replicate_values(spec, needed, r)
+        for i in range(0, len(rows), _REPLICATE_BLOCK):
+            block = rows[i:i + _REPLICATE_BLOCK]
+            V[block.start:block.stop:block.step] = _replicate_values(spec, needed, block)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # by default, AR evaluation alone pools

@@ -155,6 +155,8 @@ def init_candidates(samples: LearningSamples, spec: ObjectiveSpec, strategy: str
     if strategy == "unit":
         cands = [np.eye(n)[j] for j in range(n)]
     elif strategy == "simplex":
+        if not count >= 1:  # every caller starts from the best candidate, [0]
+            raise DomainError(f"simplex count must be >= 1, got {reprlib.repr(count)}")
         cands = [g.dirichlet(np.ones(n)) for _ in range(int(count))]
     elif strategy == "warm":
         if warm is None:

@@ -12,6 +12,13 @@ AR3 = {"kind": "ar_student_t", "phi": [0.1, 0.25, 0.5],
        "innovation": {"family": "student_t", "params": {"mu": 0.0, "sigma": 1.0, "nu": 0.8}}}
 
 
+# an AR design straddling lattice index 0: window [-600, -2] and forecast
+# offsets [-1, 0, 1] in lattice indices
+AR_STRADDLING_0 = {"process": AR3, "marginal_mode": "estimated", "marginal_family": "student_t",
+                   "window": [-60.0, -0.2], "forecast_offsets": [-0.1, 0.0, 0.1],
+                   "prediction_interval": [-0.1, 0.5]}
+
+
 def tiny_config(tmp_path, **overrides):
     cfg = {
         "name": "tiny-cli",
@@ -266,10 +273,9 @@ def test_infinite_tol_exit_code_before_simulating(tmp_path, capsys, monkeypatch,
     ({"window": [0.0, 0.3]}, "window"),  # 4 points for a design spanning 5
     ({"marginal_mode": "estimated", "marginal_family": "gaussian", "window": [0.0, 4.8]},
      "window"),  # 49 points: too few to estimate the marginal
-    # an AR design straddling lattice index 0, and an AR without a closed-form marginal
-    ({"process": AR3, "marginal_mode": "estimated", "marginal_family": "student_t",
-      "window": [-60.0, -0.2], "forecast_offsets": [-0.1, 0.0, 0.1],
-      "prediction_interval": [-0.1, 0.5]}, "forecast_offsets"),
+    # an AR design fitting a point below lattice index 0, and an AR without a
+    # closed-form marginal
+    ({**AR_STRADDLING_0, "prediction_interval": [-0.3, 0.5]}, "prediction_interval"),
     ({"process": AR3, "marginal_mode": "known"}, "marginal_mode"),
     # huge values, which the message quotes cut short
     ({"name": list(range(10**5))}, "name"), ({"h": "x" * 10**6}, "h"),
@@ -296,6 +302,23 @@ def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monk
     assert f"'{key}'" in err
     assert len(err) < 300
     assert not out.exists()
+
+
+def test_ar_design_straddling_lattice_index_0_evaluates(tmp_path, monkeypatch):
+    """Forecast offsets and prediction points below lattice index 0 are
+    accepted for AR, whose replicates then start at the first needed index;
+    ``eval.csv`` is the same at 1 and 2 threads."""
+    import tailcast.harness
+
+    cfg = tiny_config(tmp_path, **AR_STRADDLING_0)
+    written = []
+    for threads in (1, 2):
+        monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: threads)
+        out = tmp_path / f"threads{threads}"
+        assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / "eval.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + 7 * 2  # 7 grid points x 2 methods
 
 
 def test_preset_configs_all_load():

@@ -92,11 +92,15 @@ def test_levy_cdf_and_support():
 
 
 def levy_pdf_product(c, x):
-    """The pdf as a product of floats, 0 where the exponential underflows;
-    ``Levy.pdf`` keeps its bits wherever it is positive and finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = np.exp(-c / (2.0 * x))
-        return np.sqrt(c / (2.0 * np.pi)) * np.where(tail > 0, x, 1.0) ** -1.5 * tail
+    """The pdf as a product of floats, 0 where the exponential underflows, and
+    whether each of its factors is a normal float; ``Levy.pdf`` keeps the
+    product's bits wherever it is positive and finite and its factors normal."""
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        power, tail = x ** -1.5, np.exp(-c / (2.0 * x))
+        product = np.sqrt(c / (2.0 * np.pi)) * np.where(tail > 0, x, 1.0) ** -1.5 * tail
+        normal = (c / (2.0 * np.pi) >= tiny) & (power >= tiny) & (power < np.inf) & (tail >= tiny)
+    return product, normal
 
 
 def levy_pdf_decimal(c, x):
@@ -111,18 +115,29 @@ def levy_pdf_decimal(c, x):
 def test_levy_pdf_keeps_the_product_where_positive_and_finite_and_logs_elsewhere():
     """x ** -1.5 overflows below x ~ 3e-206 and underflows above x ~ 1e205,
     and c / (2 pi) rounds to 0 for a subnormal c: the product is then 0 or
-    not finite where the pdf is a normal float all the same."""
+    not finite where the pdf is a normal float all the same. Where a factor
+    is subnormal the product is finite but has lost bits, so the logs take
+    over there too. Every point whose pdf is a normal float matches the
+    40-digit closed form."""
     assert Levy(5e-324).pdf(1.0) == pytest.approx(8.8675244430181e-163, rel=1e-12, abs=0.0)
     assert Levy(1e300).pdf(1e302) == pytest.approx(3.9695254747701e-304, rel=1e-12, abs=0.0)
     assert Levy(1e-300).pdf(1e-299) == pytest.approx(1.200038948430136e298, rel=1e-12, abs=0.0)
+    # one subnormal factor: x ** -1.5, exp(-c / (2 x)) and c / (2 pi) in turn
+    # (references by mpmath at 40 digits)
+    assert Levy(1e100).pdf(1e214) == pytest.approx(3.9894228040143270837e-272, rel=1e-12, abs=0.0)
+    assert Levy(1e100).pdf(1e210) == pytest.approx(3.9894228040143272473e-266, rel=1e-12, abs=0.0)
+    assert Levy(1e-200).pdf(1e-200 / 1480) == pytest.approx(9.5145013156569332931e-118,
+                                                            rel=1e-12, abs=0.0)
+    assert Levy(1e-320).pdf(1e-200) == pytest.approx(3.9894005971948819266e139, rel=1e-12, abs=0.0)
     x = np.logspace(-323, 300, 6231)
+    tiny = np.finfo(float).tiny
     for c in (5e-324, 1e-300, 1e-250, 1e-203, 1e-200, 1e-3, 1.0, 1e3, 1e300):
-        got, want = Levy(c).pdf(x), levy_pdf_product(c, x)
-        kept = (want > 0) & np.isfinite(want)
+        got, (want, normal) = Levy(c).pdf(x), levy_pdf_product(c, x)
+        kept = (want > 0) & np.isfinite(want) & normal
         assert np.array_equal(got[kept], want[kept])
-        for xi, pi in zip(x[~kept], got[~kept]):
+        for xi, pi in zip(x, got):
             ref = levy_pdf_decimal(c, xi)
-            if np.finfo(float).tiny <= ref < np.inf:
+            if tiny <= ref < np.inf:
                 assert pi == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert np.all(Levy(c).pdf(np.array([0.0, -0.0, -5e-324, -1.0, -1e300])) == 0.0)
 

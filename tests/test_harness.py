@@ -30,7 +30,15 @@ from tailcast.harness import (
 )
 from tailcast.harness import _usable_cpus
 from tailcast.optimize import DescentConfig
-from tailcast.processes import _KINDS, ArStudentT, GaussExpCov, ProcessSpec, StableMovingAverage
+from tailcast.processes import (
+    _KINDS,
+    ArStudentT,
+    GaussExpCov,
+    ProcessSpec,
+    StableMovingAverage,
+    simulate,
+)
+from tailcast.rng import RngStream
 
 
 def tiny_gauss_spec(**overrides):
@@ -378,50 +386,86 @@ def test_eval_deterministic_and_thread_invariant(tiny_run):
         assert np.array_equal(report.wasserstein[m], threaded.wasserstein[m])
 
 
-def test_eval_gaussian_blocks_equal_one_replicate_at_a_time(tiny_run, monkeypatch):
-    """Each thread simulates its Gaussian replicates in blocks of
-    ``_GAUSS_BLOCK``, the last block short; each row holds
-    ``_replicate_values`` of its replicate, and the report is the one that
+AR3 = ArStudentT((0.1, 0.25, 0.5), StudentT(0.0, 1.0, 0.8))
+
+
+@pytest.fixture(scope="module")
+def process_runs(tiny_run):
+    """(spec, fits) of the tiny design for every process: Gaussian, the stable
+    moving averages of alpha 1 and 0.5, and AR, which estimates its marginal."""
+    runs = [tiny_run[:2]]
+    for kw in (dict(process=StableMovingAverage(1.0)), dict(process=StableMovingAverage(0.5)),
+               dict(process=AR3, marginal_mode="estimated", marginal_family="student_t")):
+        spec = tiny_gauss_spec(**kw)
+        runs.append((spec, run_fit(spec)))
+    return runs
+
+
+def one_replicate(spec, needed, r):
+    """Replicate r at the needed lattice indices from one ``simulate`` call,
+    which starts at the first needed index, or for AR at lattice index 0."""
+    k0 = int(needed.min())
+    if isinstance(spec.process, ArStudentT):
+        k0 = min(k0, 0)
+    rng = RngStream(spec.seed, tailcast.harness.STREAM_EVAL).generator(r)
+    traj = simulate(spec.process, round(k0 * spec.h, 9), spec.h, int(needed.max()) - k0 + 1, rng)
+    return traj.values[needed - k0]
+
+
+def test_eval_gaussian_blocks_equal_one_replicate_at_a_time(process_runs, monkeypatch):
+    """Each thread simulates its replicates in blocks of ``_REPLICATE_BLOCK``,
+    the last block short, for every process; each row holds the values of
+    one ``simulate`` call for its replicate, and the report is the one that
     simulating one replicate at a time gives, for any thread count."""
-    spec, fits, _ = tiny_run
-    spec = replace(spec, replicates=7)
     needed = np.array([100, 102, 103, 104, 105])
-    monkeypatch.setattr(tailcast.harness, "_GAUSS_BLOCK", 3)
+    monkeypatch.setattr(tailcast.harness, "_REPLICATE_BLOCK", 3)
     blocks = []
-    real = tailcast.harness._gauss_replicate_values
+    real = tailcast.harness._replicate_values
 
     def block_values(spec, needed, rows):
         blocks.append(list(rows))
         return real(spec, needed, rows)
 
-    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", block_values)
-    report = run_eval(spec, fits, threads=1)
-    assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
-    del blocks[:]
-    pooled = run_eval(spec, fits, threads=2)
-    assert sorted(blocks) == [[0, 2, 4], [1, 3, 5], [6]]
-    for rows in blocks:
-        V = real(spec, needed, rows)
-        for i, r in enumerate(rows):
-            assert V[i].tobytes() == tailcast.harness._replicate_values(spec, needed, r).tobytes()
-
     def one_at_a_time(spec, needed, rows):
-        return np.array([tailcast.harness._replicate_values(spec, needed, r) for r in rows])
+        return np.array([one_replicate(spec, needed, r) for r in rows])
 
-    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", one_at_a_time)
-    want = run_eval(spec, fits, threads=1)
-    for got in (report, pooled):
-        for m in want.methods:
-            assert got.excursion[m].tobytes() == want.excursion[m].tobytes()
-            assert got.wasserstein[m].tobytes() == want.wasserstein[m].tobytes()
+    for spec, fits in process_runs:
+        spec = replace(spec, replicates=7)
+        monkeypatch.setattr(tailcast.harness, "_replicate_values", block_values)
+        del blocks[:]
+        report = run_eval(spec, fits, threads=1)
+        assert blocks == [[0, 1, 2], [3, 4, 5], [6]]
+        del blocks[:]
+        pooled = run_eval(spec, fits, threads=2)
+        assert sorted(blocks) == [[0, 2, 4], [1, 3, 5], [6]]
+        for rows in blocks:  # and where the needed indices straddle lattice index 0
+            for idx in (needed, needed - 103):
+                V = real(spec, idx, rows)
+                for i, r in enumerate(rows):
+                    assert V[i].tobytes() == one_replicate(spec, idx, r).tobytes()
+        monkeypatch.setattr(tailcast.harness, "_replicate_values", one_at_a_time)
+        want = run_eval(spec, fits, threads=1)
+        for got in (report, pooled):
+            for m in want.methods:
+                assert got.excursion[m].tobytes() == want.excursion[m].tobytes()
+                assert got.wasserstein[m].tobytes() == want.wasserstein[m].tobytes()
 
 
 def test_eval_rejects_threads_below_one(tiny_run):
-    spec, fits, _ = tiny_run
+    """A count below one, a bool or a non-integral value names ``threads``;
+    a numpy integer is a count like any other."""
+    spec, fits, report = tiny_run
     for threads in (0, -1):
         with pytest.raises(DomainError, match="threads must be >= 1") as err:
             run_eval(spec, fits, threads=threads)
         assert err.value.key == "threads"
+    for threads in (2.5, 2.0, "2", True, False):
+        with pytest.raises(DomainError, match="threads must be an integer") as err:
+            run_eval(spec, fits, threads=threads)
+        assert err.value.key == "threads"
+    counted = run_eval(spec, fits, threads=np.int64(2))
+    for m in report.methods:
+        assert counted.wasserstein[m].tobytes() == report.wasserstein[m].tobytes()
 
 
 def record_pools(monkeypatch) -> list:
@@ -463,8 +507,7 @@ def test_eval_default_pools_ar_replicates_on_every_cpu(tiny_run, monkeypatch):
     """By default an AR process gets min(usable CPUs, replicates) workers and any
     other process no pool; either way the report equals the one-thread one."""
     gauss_spec, gauss_fits, _ = tiny_run
-    ar_spec = tiny_gauss_spec(process=ArStudentT((0.1, 0.25, 0.5), StudentT(0.0, 1.0, 0.8)),
-                              marginal_mode="estimated", marginal_family="student_t",
+    ar_spec = tiny_gauss_spec(process=AR3, marginal_mode="estimated", marginal_family="student_t",
                               replicates=5)
     ar_fits = run_fit(ar_spec)
     monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 3)
@@ -497,10 +540,9 @@ def test_usable_cpus_counts_the_affinity_set(monkeypatch):
     assert _usable_cpus() == 1
 
 
-def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
-    spec, fits, report = tiny_run
+def test_eval_gives_each_worker_one_strided_block(process_runs, monkeypatch):
     tasks, order = [], []
-    real = tailcast.harness._gauss_replicate_values  # tiny_run's process is Gaussian
+    real = tailcast.harness._replicate_values
 
     class Recorder:
         def __init__(self, max_workers):
@@ -521,14 +563,18 @@ def test_eval_gives_each_worker_one_strided_block(tiny_run, monkeypatch):
         order.extend(rows)
         return real(spec, needed, rows)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(tailcast.harness, "_gauss_replicate_values", replicate_values)
-    strided = run_eval(spec, fits, threads=3)
-    assert tasks == [[0, 1, 2]]
-    R = spec.replicates
-    assert order == list(range(0, R, 3)) + list(range(1, R, 3)) + list(range(2, R, 3))
-    for m in report.methods:
-        assert np.array_equal(strided.wasserstein[m], report.wasserstein[m])
+    for spec, fits in process_runs:
+        report = run_eval(spec, fits, threads=1)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(tailcast.harness, "_replicate_values", replicate_values)
+        del tasks[:], order[:]
+        strided = run_eval(spec, fits, threads=3)
+        monkeypatch.undo()
+        assert tasks == [[0, 1, 2]]
+        R = spec.replicates
+        assert order == list(range(0, R, 3)) + list(range(1, R, 3)) + list(range(2, R, 3))
+        for m in report.methods:
+            assert np.array_equal(strided.wasserstein[m], report.wasserstein[m])
 
 
 def test_fit_deterministic(tiny_run):

@@ -152,6 +152,9 @@ def test_init_candidates_simplex():
     for w in cands:
         assert np.all(w >= 0)
         assert np.sum(w) == pytest.approx(1.0, rel=1e-12)
+    for count in (0, -1, 0.5):  # an empty list would leave the callers' [0] nothing to take
+        with pytest.raises(DomainError, match="simplex count must be >= 1"):
+            init_candidates(samples, spec, "simplex", count=count, rng=RngStream(5, 8).generator())
 
 
 @pytest.mark.parametrize("rng, generator", [(RngStream(9, 1), RngStream(9, 1).generator()),
