@@ -117,6 +117,13 @@ class _LocationScale(Marginal):
     sigma: float = 1.0
     _positive = ("sigma",)
 
+    def __post_init__(self):
+        super().__post_init__()
+        # below it, the kernels' (x - mu) / sigma overflows at every x
+        if self.sigma < np.finfo(float).tiny:
+            raise DomainError(f"sigma must be >= {np.finfo(float).tiny:g}, the smallest normal "
+                              "float", key="sigma")
+
     def _z(self, x):
         # the standard law skips the affine map: x - 0.0 and x / 1.0 are x,
         # bit for bit, for every float including -0.0, subnormals and inf

@@ -11,14 +11,18 @@ method.
 Reproducibility: every random role (training draw, per-point fitting,
 per-replicate evaluation, row subsampling) owns a fixed stream id derived
 from the master seed, and replicate streams are keyed by replicate index,
-so outputs are identical across runs and thread counts.
+so outputs are identical across runs, thread counts and the processes an
+online fit is split across.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
+import pickle
 import reprlib
+import sys
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -124,6 +128,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
             raise ConfigError("h", "must be positive and finite")
+        for key in ("replicates", "init_count", "max_rows"):  # a Python caller may pass 2.5
+            value = getattr(self, key)
+            if value is None and key == "max_rows":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(key, f"must be an integer, got {reprlib.repr(value)}")
+            object.__setattr__(self, key, int(value))
         if self.replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -372,64 +383,216 @@ def _fit_errors(methods, t):
         raise type(exc)(message) from exc
 
 
-def run_fit(spec: ExperimentSpec) -> FitResults:
-    """Fit every method at every prediction point of the experiment.
+def _fit_points(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, methods: list,
+                baselines: bool):
+    """Yield ``(k, {method: PointFit})`` at every fitted point k, in order.
 
-    Online Q2/Q3 methods run together through ``solve_lockstep``; batch
-    descent and Q4 solve one method at a time. Either way each method owns
-    its generators, so the weights do not depend on that choice.
+    ``methods`` are solver methods of the spec, in its order; each draws from
+    the streams of its index among all of them, so a method's fits do not
+    depend on which others run beside it. Online Q2/Q3 methods run together
+    through ``solve_lockstep``; batch descent and Q4 solve one method at a
+    time. ``baselines`` adds the kriging and exact weights.
     """
-    traj = _simulate_training(spec)
-    marginal = _fit_marginal(spec, traj)
     fit_stream = RngStream(spec.seed, STREAM_FIT)
     obj_specs = _objective_specs(spec, marginal)
-    solver_methods = list(obj_specs)
+    index = {method: mi for mi, method in enumerate(obj_specs)}
     lockstep = spec.descent.mode == "online" and all(
         s.variant in ("Q2", "Q3") for s in obj_specs.values())
-    use_baselines = "kriging" in spec.methods
     q2_spec = ObjectiveSpec("Q2", marginal)
-    fits = {}
     prev = {}
     for k in spec.fitted_indices:
         t = _time_of(k, spec.h)
         design, samples = _point_problem(spec, traj, k)
         starts = []
-        for mi, method in enumerate(solver_methods):
+        for method in methods:
             strategy = "warm" if (spec.warm_start and method in prev) else spec.init_strategy
             with _fit_errors([method], t):
                 cands = init_candidates(
                     samples, obj_specs[method], strategy, kind=spec.predictor_kind,
                     count=spec.init_count, warm=prev.get(method),
-                    rng=fit_stream.generator(k, mi, 0))
+                    rng=fit_stream.generator(k, index[method], 0))
                 starts.append(Predictor(spec.predictor_kind, cands[0]))
-        solve_rngs = [fit_stream.generator(k, mi, 1) for mi in range(len(solver_methods))]
+        solve_rngs = [fit_stream.generator(k, index[method], 1) for method in methods]
         if lockstep:
-            with _fit_errors(solver_methods, t):
-                results = solve_lockstep([obj_specs[m] for m in solver_methods], samples,
+            with _fit_errors(methods, t):
+                results = solve_lockstep([obj_specs[m] for m in methods], samples,
                                          starts, spec.descent, solve_rngs)
         else:
             results = []
-            for method, p0, rng in zip(solver_methods, starts, solve_rngs):
+            for method, p0, rng in zip(methods, starts, solve_rngs):
                 with _fit_errors([method], t):
                     results.append(solve(obj_specs[method], samples, p0, spec.descent, rng))
         point = {}
-        for mi, (method, res) in enumerate(zip(solver_methods, results)):
+        for method, res in zip(methods, results):
             ospec = obj_specs[method]
             with _fit_errors([method], t):
                 val = objective_value(ospec, Predictor(spec.predictor_kind, res.weights),
-                                      samples, rng=fit_stream.generator(k, mi, 2))
+                                      samples, rng=fit_stream.generator(k, index[method], 2))
             point[method] = PointFit(t, method, spec.predictor_kind, res.weights,
                                      val, centered_objective(ospec, val),
                                      res.iterations, res.seconds)
             prev[method] = res.weights
-        if use_baselines:
+        if baselines:
             so = covariances_exp(design)
             for method, weights in (("kriging", simple_kriging_weights(so)),
                                     ("exact", exact_excursion_weights(so))):
                 val = objective_value(q2_spec, Predictor("linear", weights), samples)
                 point[method] = PointFit(t, method, "linear", weights, val,
                                          centered_objective(q2_spec, val), 0, 0.0)
-        fits[k] = point
+        yield k, point
+
+
+# Fitted points x max_iter from which an online Q3 fit runs its unconstrained
+# method in a second process. On gauss_extrap, gauss_interp, cauchy_extrap
+# and levy_extrap cut to P points of 300 steps, the split took 1.06-1.16x
+# the one-process time at P = 1, 0.95-1.00x at 2, 0.90-0.94x at 3 and
+# 0.83-0.89x at 8 (2-vCPU VM, medians of 10 alternating run_fit calls)
+_SPLIT_MIN_STEPS = 900
+
+
+def _split_fit(spec: ExperimentSpec) -> bool:
+    """Whether ``run_fit`` fits the unconstrained method in a forked child.
+
+    Only an online Q3 fit packs two methods into each ``solve_lockstep``
+    call; batch and Q4 fits keep one process. The split needs Linux, whose
+    fork a process that has loaded numpy survives (macOS system libraries
+    may not, and Windows has no fork); a second usable CPU for the child to
+    run on; no thread besides the caller's, since a fork copies only the
+    calling thread, and a lock another thread holds would stay held in the
+    child; and enough steps to repay the fork.
+    """
+    return (spec.descent.mode == "online" and spec.variant == "Q3"
+            and sys.platform == "linux"
+            and _usable_cpus() >= 2 and threading.active_count() == 1
+            and len(spec.fitted_indices) * spec.descent.max_iter >= _SPLIT_MIN_STEPS)
+
+
+def _fit_until_error(spec: ExperimentSpec, points) -> tuple:
+    """The fits a ``_fit_points`` generator yields, by point, and the error
+    that stopped it as ``(k, exception)`` at the point k it was fitting, or
+    None."""
+    fits = {}
+    try:
+        for k, point in points:
+            fits[k] = point
+    except Exception as exc:
+        return fits, (spec.fitted_indices[len(fits)], exc)
+    return fits, None
+
+
+# attributes of tailcast's errors that a child's error keeps in the parent
+_ERROR_ATTRS = ("key", "chain", "last_iterate")
+
+
+def _error_record(exc: BaseException) -> tuple:
+    """``exc`` as picklable parts: its class, message, the ``_ERROR_ATTRS``
+    it has and its cause's record. Pickling the exception itself would lose
+    attributes its constructor takes by keyword."""
+    cause = exc.__cause__
+    return (type(exc), str(exc), {a: getattr(exc, a) for a in _ERROR_ATTRS if hasattr(exc, a)},
+            None if cause is None else _error_record(cause))
+
+
+def _rebuilt_error(record: tuple) -> BaseException:
+    """The exception an ``_error_record`` describes, with its cause."""
+    cls, message, attrs, cause = record
+    exc = cls.__new__(cls)
+    exc.args = (message,)
+    for name, value in attrs.items():
+        setattr(exc, name, value)
+    exc.__cause__ = None if cause is None else _rebuilt_error(cause)
+    return exc
+
+
+def _fit_child(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, pipe_fd: int):
+    """The child's side of ``_fit_split``: fit "unconstrained" at every point,
+    write its fits and the error that stopped them (None, or ``(k,
+    record)``) to ``pipe_fd``, and end the process; it never returns."""
+    status = 1
+    try:
+        fits, error = _fit_until_error(
+            spec, _fit_points(spec, traj, marginal, ["unconstrained"], baselines=False))
+        if error is not None:
+            error = (error[0], _error_record(error[1]))
+        with open(pipe_fd, "wb") as pipe:
+            # the default protocol, 4: protocol 5 unpickles each weights array
+            # as a view of a bytes object of its own, 40 KB more per fit of
+            # online_extrap's 91 points, kept as long as the fits are
+            pipe.write(pickle.dumps((fits, error)))
+        status = 0
+    except Exception:
+        # traceback, and signal in _fit_split, load where used: at module
+        # level they add 0.8 ms to every start
+        import traceback
+
+        traceback.print_exc()  # the parent then reports that no result came
+    finally:
+        try:
+            sys.stderr.flush()  # the child's warnings and traceback: _exit flushes nothing
+        finally:
+            os._exit(status)
+
+
+def _fit_split(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, baselines: bool) -> dict:
+    """Fits by point: "unconstrained" in a forked child, "penalized" and the
+    baselines here, each method on the streams it has in ``run_fit``'s
+    single-process path. The child is reaped before this returns or raises,
+    and killed first if this raises on its own. When both sides fail, the
+    error at the earlier point wins, and at the same point the child's, whose
+    method comes first in METHOD_ORDER."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _fit_child(spec, traj, marginal, write_fd)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            fits, error = _fit_until_error(
+                spec, _fit_points(spec, traj, marginal, ["penalized"], baselines))
+            data = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError("the process fitting the unconstrained method ended with no result "
+                           f"(exit code {os.waitstatus_to_exitcode(status)})")
+    child_fits, child_error = pickle.loads(data)
+    if child_error is not None:
+        child_error = (child_error[0], _rebuilt_error(child_error[1]))
+    errors = [e for e in (child_error, error) if e is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]  # min keeps the first, the child's, on a tie
+    for k, point in fits.items():
+        child_fits[k].update(point)  # after "unconstrained": METHOD_ORDER
+    return child_fits
+
+
+def run_fit(spec: ExperimentSpec) -> FitResults:
+    """Fit every method at every prediction point of the experiment.
+
+    Each method owns its generators, so its weights do not depend on which
+    methods run beside it, in one ``solve_lockstep`` call or another process.
+    An online Q3 fit large enough to repay a fork (``_split_fit``) fits the
+    unconstrained method in a child process while this one fits the rest.
+    """
+    traj = _simulate_training(spec)
+    marginal = _fit_marginal(spec, traj)
+    baselines = "kriging" in spec.methods
+    if _split_fit(spec):
+        fits = _fit_split(spec, traj, marginal, baselines)
+    else:
+        solver_methods = list(_objective_specs(spec, marginal))
+        fits = dict(_fit_points(spec, traj, marginal, solver_methods, baselines))
     return FitResults(spec, marginal, fits)
 
 

@@ -286,6 +286,10 @@ def test_infinite_tol_exit_code_before_simulating(tmp_path, capsys, monkeypatch,
     ({"u" * 10**5: 1}, reprlib.repr("u" * 10**5)[1:-1]),
     ({"process": {**AR3, "innovation": {"family": "student_t", "params": {"p" * 10**5: 1.0}}}},
      "process.innovation"),
+    # a subnormal scale, which would make every kernel call overflow
+    ({"process": {**AR3, "innovation": {"family": "student_t",
+                                        "params": {"mu": 0.0, "sigma": 5e-324, "nu": 0.8}}}},
+     "process.innovation"),
 ])
 def test_bad_config_exit_code_names_key_before_simulating(tmp_path, capsys, monkeypatch,
                                                           command, overrides, key):

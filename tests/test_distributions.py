@@ -249,6 +249,17 @@ def test_non_positive_parameter_rejected(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("cls", [Gaussian, Cauchy, StudentT])
+@pytest.mark.parametrize("sigma", [5e-324, 1e-310, np.finfo(float).tiny * (1 - 2**-52)])
+def test_subnormal_scale_rejected(cls, sigma):
+    """A subnormal sigma made every kernel call overflow its divide."""
+    with pytest.raises(DomainError, match="^sigma must be >= 2.22507e-308") as err:
+        cls(sigma=sigma)
+    assert err.value.key == "sigma"
+    smallest = cls(sigma=np.finfo(float).tiny)  # a RuntimeWarning would fail here
+    assert smallest.cdf(0.0) == 0.5 and np.isfinite(smallest.pdf(0.0))
+
+
 def test_parameter_checks_run_in_order():
     """Finiteness of every parameter first, then positivity in field order."""
     with pytest.raises(NonFiniteInput):

@@ -1,5 +1,8 @@
 import concurrent.futures
 import os
+import signal
+import sys
+import threading
 from dataclasses import fields, replace
 from typing import get_args
 
@@ -249,6 +252,23 @@ def test_spec_from_dict_rejects_bad_value_by_key(key, value):
     with pytest.raises(ConfigError) as err:
         spec_from_dict(d)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replicates", 2.5), ("replicates", 2.0), ("replicates", True), ("replicates", "2"),
+    ("init_count", 2.5), ("init_count", True), ("max_rows", 50.5), ("max_rows", False),
+])
+def test_spec_rejects_non_integer_count_by_key(key, value):
+    """A spec built in Python, where no JSON reader refused the type first."""
+    with pytest.raises(ConfigError, match="must be an integer") as err:
+        tiny_gauss_spec(**{key: value})
+    assert err.value.key == key
+
+
+def test_spec_counts_accept_numpy_integers_as_int():
+    spec = tiny_gauss_spec(replicates=np.int64(5), init_count=np.int32(3), max_rows=np.uint8(50))
+    assert [type(v) for v in (spec.replicates, spec.init_count, spec.max_rows)] == [int] * 3
+    assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 def test_spec_window_holds_the_design_span_exactly():
@@ -616,6 +636,254 @@ def test_fit_error_outside_the_solve_names_point_and_method(monkeypatch):
     monkeypatch.setattr(tailcast.harness, "init_candidates", init_candidates)
     with pytest.raises(DomainError, match=r"penalized fit at t=10\.3: no start"):
         run_fit(tiny_gauss_spec(prediction_interval=(10.3, 10.3), replicates=5))
+
+
+# --- the online fit split across two processes ---------------------------------
+
+needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="run_fit splits only on Linux")
+
+ONLINE_PRESETS = ("gauss_extrap", "gauss_interp", "cauchy_extrap", "cauchy_interp",
+                  "levy_extrap", "levy_interp")
+
+
+def no_fork():
+    raise AssertionError("forked")
+
+
+def fit_outcome(spec):
+    """run_fit's fits, or the error it raised."""
+    try:
+        return run_fit(spec).fits
+    except Exception as exc:
+        return exc
+
+
+def packed_and_split(spec, monkeypatch, reset=lambda: None):
+    """``run_fit``'s outcome for ``spec`` in one process, then split across
+    two processes whatever the CPU count and size; the split forks once.
+    ``reset`` runs before each, to restart the call counts of a patch."""
+    reset()
+    with monkeypatch.context() as m:
+        m.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 10**18)
+        m.setattr(os, "fork", no_fork)
+        packed = fit_outcome(spec)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    reset()
+    with monkeypatch.context() as m:
+        m.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
+        m.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+        m.setattr(os, "fork", fork)
+        split = fit_outcome(spec)
+    assert forks == [os.getpid()]
+    return packed, split
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def assert_same_fits(a, b):
+    assert list(a) == list(b)
+    for k in a:
+        assert list(a[k]) == list(b[k]) == [m for m in METHOD_ORDER if m in a[k]]
+        for m, x in a[k].items():
+            y = b[k][m]
+            assert x.weights.tobytes() == y.weights.tobytes()
+            assert (bits(x.objective), bits(x.centered)) == (bits(y.objective), bits(y.centered))
+            assert (x.time, x.method, x.kind, x.iterations) == (y.time, y.method, y.kind,
+                                                                 y.iterations)
+
+
+def assert_same_error(a, b):
+    """Same class, message and error attributes, for the error and its cause.
+    The cause's ``chain`` is its index in the ``solve_lockstep`` call that
+    raised, so it differs for the penalized chain solved alone."""
+    for x, y, names in ((a, b, ("key", "chain", "last_iterate")),
+                        (a.__cause__, b.__cause__, ("key", "last_iterate"))):
+        assert type(x) is type(y) and str(x) == str(y)
+        for name in names:
+            assert hasattr(x, name) == hasattr(y, name)
+            assert np.array_equal(getattr(x, name, None), getattr(y, name, None))
+
+
+@needs_fork
+@pytest.mark.parametrize("preset", ONLINE_PRESETS)
+def test_split_fit_bit_equal_to_one_process(preset, monkeypatch):
+    from tailcast.cli import _load_config
+
+    spec = _load_config(preset)
+    first, last = spec.fitted_indices[0], spec.fitted_indices[2]
+    spec = replace(spec, prediction_interval=(round(first * spec.h, 9), round(last * spec.h, 9)))
+    packed, split = packed_and_split(spec, monkeypatch)
+    assert len(packed) == 3 and len(next(iter(packed.values()))) == len(spec.methods)
+    assert_same_fits(packed, split)
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["solve", "init_candidates"])
+def test_split_child_error_reraised_as_in_one_process(where, monkeypatch):
+    """The unconstrained method fails at the second point, in the child."""
+    calls = []
+    if where == "solve":
+        real = tailcast.harness.solve_lockstep
+
+        def patched(specs, *args):
+            if specs[0].variant == "Q2":
+                calls.append(1)
+                if len(calls) == 2:
+                    exc = DivergedToNonFinite("non-finite iterate at step 5",
+                                              last_iterate=np.array([0.25, -0.5]))
+                    exc.chain = 0
+                    raise exc
+            return real(specs, *args)
+        monkeypatch.setattr(tailcast.harness, "solve_lockstep", patched)
+    else:
+        real = tailcast.harness.init_candidates
+
+        def patched(samples, ospec, *args, **kwargs):
+            if ospec.variant == "Q2":
+                calls.append(1)
+                if len(calls) == 2:
+                    raise DomainError("no start", key="init_count")
+            return real(samples, ospec, *args, **kwargs)
+        monkeypatch.setattr(tailcast.harness, "init_candidates", patched)
+    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch, reset=calls.clear)
+    assert_same_error(packed, split)
+    assert str(split).startswith("unconstrained fit at t=10.4: ")
+    if where == "solve":
+        assert split.__cause__.chain == 0
+        assert np.array_equal(split.last_iterate, [0.25, -0.5])
+    else:
+        assert split.__cause__.key == "init_count"
+
+
+@needs_fork
+def test_split_parent_error_as_in_one_process(monkeypatch):
+    # a huge penalty makes only the penalized chain diverge, in the parent
+    with np.errstate(over="ignore", invalid="ignore"):
+        packed, split = packed_and_split(tiny_gauss_spec(gamma=1e308), monkeypatch)
+    assert isinstance(split, DivergedToNonFinite)
+    assert str(split).startswith("penalized fit at t=10.3: non-finite iterate")
+    assert_same_error(packed, split)
+    assert split.last_iterate is split.__cause__.last_iterate
+
+
+@needs_fork
+@pytest.mark.parametrize("child_point, parent_point, method", [
+    (0, 1, "unconstrained"), (1, 0, "penalized"), (1, 1, "unconstrained")])
+def test_split_both_failing_raise_the_earlier_point(child_point, parent_point, method,
+                                                    monkeypatch):
+    """The error at the earlier point wins; at the same point the
+    unconstrained method's, which comes first in METHOD_ORDER."""
+    real = tailcast.harness.init_candidates
+    calls = {}
+    fail_at = {"Q2": child_point, "Q3": parent_point}
+
+    def init_candidates(samples, ospec, *args, **kwargs):
+        calls[ospec.variant] += 1
+        if calls[ospec.variant] == fail_at[ospec.variant] + 1:
+            raise DomainError(f"{ospec.variant} stops")
+        return real(samples, ospec, *args, **kwargs)
+
+    monkeypatch.setattr(tailcast.harness, "init_candidates", init_candidates)
+    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch,
+                                     reset=lambda: calls.update(Q2=0, Q3=0))
+    assert_same_error(packed, split)
+    t = (10.3, 10.4)[min(child_point, parent_point)]
+    assert str(split).startswith(f"{method} fit at t={t:g}: ")
+
+
+class Interrupt(BaseException):
+    """Stands for a KeyboardInterrupt without stopping the test session."""
+
+
+@needs_fork
+def test_split_parent_interrupted_kills_and_reaps_the_child(monkeypatch):
+    def covariances_exp(design):  # the baselines are fitted in the parent
+        raise Interrupt
+
+    killed = []
+    real_kill = os.kill
+
+    def kill(pid, sig):
+        killed.append(sig)
+        real_kill(pid, sig)
+
+    monkeypatch.setattr(tailcast.harness, "covariances_exp", covariances_exp)
+    monkeypatch.setattr(os, "kill", kill)
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(Interrupt):
+        run_fit(tiny_gauss_spec())
+    assert killed == [signal.SIGKILL]
+    # the autouse conftest guard checks that the child was reaped
+
+
+@needs_fork
+def test_split_child_ending_without_a_result_raises(monkeypatch, capfd):
+    real = tailcast.harness._fit_points
+
+    def fit_points(spec, traj, marginal, methods, baselines):
+        for k, point in real(spec, traj, marginal, methods, baselines):
+            if methods == ["unconstrained"]:
+                point["unconstrained"] = lambda: None  # cannot be pickled
+            yield k, point
+
+    monkeypatch.setattr(tailcast.harness, "_fit_points", fit_points)
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"unconstrained method ended with no result "
+                                           r"\(exit code 1\)"):
+        run_fit(tiny_gauss_spec())
+    assert "Traceback" in capfd.readouterr().err  # the child prints why
+
+
+@needs_fork
+@pytest.mark.parametrize("why", ["one usable cpu", "a live thread", "below the threshold",
+                                 "batch", "Q2", "Q4"])
+def test_split_not_taken_where_it_cannot_run_or_pay(why, monkeypatch):
+    """run_fit stays in one process, with ``os.fork`` raising; three fitted
+    points of ``max_iter`` steps reach the threshold but for ``why``."""
+    max_iter = -(-tailcast.harness._SPLIT_MIN_STEPS // 3)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    spec = tiny_gauss_spec(descent=DescentConfig(mode="online", max_iter=max_iter))
+    assert tailcast.harness._split_fit(spec)  # the control: every condition holds
+    if why == "one usable cpu":
+        monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 1)
+    elif why == "below the threshold":
+        spec = replace(spec, descent=DescentConfig(mode="online", max_iter=max_iter - 1))
+    elif why == "batch":
+        spec = replace(spec, descent=DescentConfig(mode="batch", max_iter=max_iter))
+    elif why in ("Q2", "Q4"):
+        spec = replace(spec, variant=why)
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    if why == "a live thread":
+        thread.start()
+    try:
+        assert not tailcast.harness._split_fit(spec)
+        fits = run_fit(spec)
+    finally:
+        stop.set()
+        if why == "a live thread":
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    assert sorted(fits.fits) == spec.fitted_indices
+
+
+def test_split_needs_a_second_usable_cpu():
+    """On the affinity set this process really has: ``taskset -c 0`` keeps
+    every fit in one process."""
+    spec = tiny_gauss_spec(descent=DescentConfig(mode="online", max_iter=10**6))
+    linux = sys.platform == "linux"
+    assert tailcast.harness._split_fit(spec) == (linux and _usable_cpus() >= 2)
 
 
 def test_estimated_marginal_mode():
