@@ -128,13 +128,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
             raise ConfigError("h", "must be positive and finite")
-        for key in ("replicates", "init_count", "max_rows"):  # a Python caller may pass 2.5
+        # a Python caller may pass 2.5 or "no", which the JSON reader refuses;
+        # RngStream would run seed 2.5 as 2, and "no" turns warm starts on
+        for key in ("replicates", "init_count", "max_rows", "seed"):
             value = getattr(self, key)
             if value is None and key == "max_rows":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(key, f"must be an integer, got {reprlib.repr(value)}")
             object.__setattr__(self, key, int(value))
+        for key in ("warm_start", "wasserstein_raw"):
+            value = getattr(self, key)
+            if not isinstance(value, bool):
+                raise ConfigError(key, f"must be a boolean, got {reprlib.repr(value)}")
         if self.replicates < 1:
             raise ConfigError("replicates", "must be >= 1")
         if not 0 <= self.seed < 2**64:

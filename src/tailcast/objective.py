@@ -446,62 +446,33 @@ def subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, j, 
     return coeff[j] * G[j] + pen * pg[j] * G[j] - 2.0 * spec.gamma / N * cross
 
 
-def _rank_levels(n):
-    """The index layouts of ``_rank_counts``'s merge levels for n values.
-
-    They depend on n alone, so a solve builds them once for all its steps.
-    Level by level, the positions of the left and of the right halves of the
-    blocks of 2 * width, with the key offsets block * n of each; and, summed
-    over the levels, the block * width that a right-half count subtracts.
-    They hold about 2 n log2(n) integers, 27 MB at n = 10^5, so nothing
-    keeps them past the solve that built them.
-    """
-    pos = np.arange(n)
-    levels, offset = [], np.zeros(n, dtype=np.intp)
-    width = 1
-    while width < n:
-        block, rest = np.divmod(pos, 2 * width)
-        left = rest < width
-        right = ~left
-        levels.append((pos[left], block[left] * n, pos[right], block[right] * n))
-        offset[right] += block[right] * width
-        width *= 2
-    return levels, offset
+def _earlier_smaller(keys):
+    """Per element of each row of ``keys``, how many earlier elements of its
+    row hold a smaller key: the strict lower triangle of one B x B comparison
+    per row, N * B bools in all. The blocks run along the last axis, where
+    the loops are long, and the keys, below N + B, compare as int32."""
+    kt = keys.T.astype(np.int32, order="C")  # kt[i, k] = keys[k, i]
+    less = np.less(kt[None, :, :], kt[:, None, :])  # less[j, i, k] = kt[i, k] < kt[j, k]
+    less &= np.tri(kt.shape[0], k=-1, dtype=bool)[:, :, None]
+    return less.sum(axis=1, dtype=np.intp).T.ravel()
 
 
-def _level_counts(total, levels):
-    """Sum over ``levels`` of each right-half element's count of smaller keys
-    in its left half (``offset`` not yet subtracted). numpy calls only, so
-    it may run on a worker thread."""
-    counts = np.zeros(total.size, dtype=np.intp)
-    for lpos, lkey, rpos, rkey in levels:
-        lk = total.take(lpos)
-        lk += lkey
-        lk.sort()
-        rk = total.take(rpos)
-        rk += rkey
-        counts[rpos] += np.searchsorted(lk, rk, side="left")
-    return counts
-
-
-def _rank_counts(f, pool=None, levels=None):
-    """(#{i<j: f_i < f_j}, #{i>j: f_i < f_j}) for every j, in O(N log^2 N).
+def _rank_counts(f):
+    """(#{i<j: f_i < f_j}, #{i>j: f_i < f_j}) for every j, in O(N^1.5).
 
     ``total`` = #{i: f_i < f_j} doubles as an integer rank (ties share one);
     it is the start of f_j's run of equal values in sorted f, so f must hold
-    no NaN. Bottom-up merge levels then count, for each element of a right
-    half, the strictly smaller ranks in its left half: in the sorted
-    left-half keys ``block * N + rank``, the blocks before block b hold
-    b * width keys, all below b * N, so one ``searchsorted`` minus b * width
-    is that count. ``levels`` is ``_rank_levels(N)``, built here if not
-    given. Each level adds exact integers, so the levels run in any order:
-    with ``pool``, a one-worker executor, the worker counts every other
-    level while this thread counts the rest (the sorts and searches release
-    the GIL); without it this thread counts them all, with the same result.
-    An error raised on the worker reaches the caller here.
+    no NaN. Ordering the rows by rank, equal ranks by descending index, puts
+    row i at position p_i, and a pair i < j counts exactly when p_i < p_j.
+    With the rows padded to blocks of B = max(1, isqrt(N) // 2) consecutive
+    indices and of B consecutive positions (padding last in both), the i < j
+    with p_i < p_j are those in an earlier index block and an earlier
+    position block (one gather from a cumulative histogram of the block
+    pairs), those earlier in j's index block with a smaller position, and
+    those earlier in j's position block with a smaller index block. All
+    three are exact integers, counted on the calling thread.
     """
     n = f.size
-    levels, offset = _rank_levels(n) if levels is None else levels
     order = np.argsort(f)
     s = f[order]
     starts = np.empty(n, dtype=bool)
@@ -511,20 +482,30 @@ def _rank_counts(f, pool=None, levels=None):
     np.maximum.accumulate(first, out=first)
     total = np.empty(n, dtype=np.intp)
     total[order] = first
-    share = pool.submit(_level_counts, total, levels[1::2]) if pool is not None else None
-    before = _level_counts(total, levels[0::2])
-    before += _level_counts(total, levels[1::2]) if share is None else share.result()
-    before -= offset
+    width = max(1, math.isqrt(n) // 2)
+    blocks = -(-n // width)
+    m = blocks * width
+    perm = np.arange(m)  # the row at each position
+    perm[:n] = np.argsort(total * n - np.arange(n))  # rank, then descending index
+    pos = np.empty(m, dtype=np.intp)
+    pos[perm] = np.arange(m)
+    row_block, pos_block = np.arange(m) // width, pos // width
+    before = _earlier_smaller(pos.reshape(blocks, width))
+    before[perm] += _earlier_smaller(row_block[perm].reshape(blocks, width))
+    # the histogram after the comparisons, so that the two never share the memory peak
+    cum = np.zeros((blocks + 1, blocks + 1), dtype=np.intp)  # cum[a, b]: rows in blocks < a and < b
+    np.cumsum(np.bincount(row_block * blocks + pos_block, minlength=blocks * blocks)
+              .reshape(blocks, blocks), axis=0, out=cum[1:, 1:])
+    cum[1:, 1:].cumsum(axis=1, out=cum[1:, 1:])
+    before += cum[row_block, pos_block]
+    before = before[:n]
     return before, total - before
 
 
-def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None,
-                     pool=None, levels=None) -> np.ndarray:
+def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples, rng=None) -> np.ndarray:
     """Subgradient of the mean functional (what batch descent steps along).
 
-    Q4 counts its ranks with ``_rank_counts``, passing on ``pool`` and
-    ``levels``: a solve builds ``_rank_levels(N)`` once and opens one worker
-    for its steps, and a call without them gets the same bits.
+    Q4 counts its ranks on the calling thread with ``_rank_counts``.
     """
     ghat, G, pg, coeff = _row_block(spec, p, samples, slice(None))
     if spec.variant == "Q2":
@@ -539,7 +520,7 @@ def mean_subgradient(spec: ObjectiveSpec, p: Predictor, samples: LearningSamples
         return ((coeff[:, None] * G) + (cross[:, None] * G[idx])).mean(axis=0)
     # Q4: r_j = #{i<j: F_i < F_j}, c_j = #{i>j: F_i < F_j}, exact int64 counts
     # (the pinned bytes need the float updates below to see these integers)
-    r, c = _rank_counts(fg, pool, levels)
+    r, c = _rank_counts(fg)
     coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
     coeff = coeff - 2.0 * spec.gamma / N * c * pg
     return (coeff[:, None] * G).mean(axis=0)

@@ -15,11 +15,10 @@ window at a time: the rows of the window's steps are drawn and gathered
 before its first step, and its steps run in a tight inner loop. The mode
 and the variant only choose how a chain's step subgradient is formed:
 ``mean_subgradient`` in batch mode, one packed ``RowSubgradients`` step for
-the online Q2/Q3 chains, ``subgradient`` for an online Q4 chain. A solve
-with a batch Q4 chain counts that chain's ranks on the calling thread and
-one worker thread, which it opens and joins. ``solve`` is its one-chain
-call. Traces and starting candidates are scored by an
-``ObjectiveValues`` bound to the sample set, which computes F(y) once.
+the online Q2/Q3 chains, ``subgradient`` for an online Q4 chain. No solve
+starts a thread. ``solve`` is its one-chain call. Traces and starting
+candidates are scored by an ``ObjectiveValues`` bound to the sample set,
+which computes F(y) once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .objective import (  # noqa: F401  objective_value: perfbench/spans.py wrap
     ObjectiveValues,
     Predictor,
     RowSubgradients,
-    _rank_levels,
     mean_subgradient,
     objective_value,
     subgradient,
@@ -313,12 +311,6 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     values, and leaves the generator state, of as many scalar draws. The
     starts share one form and the online Q2/Q3 specs one marginal. An error
     raised for one chain carries its index in ``chain``.
-
-    A solve with a batch Q4 chain builds the rank levels of its N rows
-    once (``objective._rank_levels``) and opens one worker thread, which
-    counts half of each step's levels (``objective._rank_counts``); it joins
-    the worker before it returns or raises, and the bits are those of a
-    serial count. Other solves start no thread.
     """
     if not (len(specs) == len(starts) == len(rngs) >= 1):
         raise DomainError("need one spec, start and rng per chain")
@@ -329,7 +321,6 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
     count = samples.count
     draws = [2 if spec.variant == "Q3" else 1 for spec in specs]  # rows per online step
     running = packed = others = kernel = slots = firsts = None
-    pool = levels = None  # a batch Q4 solve's rank worker and rank levels
 
     def window(active, steps):
         nonlocal running, packed, others, kernel, slots, firsts
@@ -369,8 +360,7 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
                 p = starts[c].with_weights(W[i])
                 try:
                     G[i] = (subgradient(specs[c], p, samples, js[i][t]) if online
-                            else mean_subgradient(specs[c], p, samples, rng=gens[c],
-                                                  pool=pool, levels=levels))
+                            else mean_subgradient(specs[c], p, samples, rng=gens[c]))
                 except (ValueError, RuntimeError) as exc:
                     exc.chain = i
                     raise
@@ -379,16 +369,7 @@ def solve_lockstep(specs, samples: LearningSamples, starts, cfg: DescentConfig, 
         return step
 
     values = [ObjectiveValues(spec, samples) for spec in specs]
-    if online or all(spec.variant != "Q4" for spec in specs):
-        return _descend_chains(window, values, starts, cfg, gens)
-    # the worker runs numpy only: a traced tailcast function called on it
-    # would share this thread's span stack. Leaving the with block joins it,
-    # whether the solve returns or raises.
-    from concurrent.futures import ThreadPoolExecutor
-
-    levels = _rank_levels(count)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return _descend_chains(window, values, starts, cfg, gens)
+    return _descend_chains(window, values, starts, cfg, gens)
 
 
 def write_trace_csv(path, result: SolveResult) -> None:

@@ -257,6 +257,7 @@ def test_spec_from_dict_rejects_bad_value_by_key(key, value):
 @pytest.mark.parametrize("key, value", [
     ("replicates", 2.5), ("replicates", 2.0), ("replicates", True), ("replicates", "2"),
     ("init_count", 2.5), ("init_count", True), ("max_rows", 50.5), ("max_rows", False),
+    ("seed", 2.5), ("seed", True), ("seed", "2"),
 ])
 def test_spec_rejects_non_integer_count_by_key(key, value):
     """A spec built in Python, where no JSON reader refused the type first."""
@@ -265,9 +266,20 @@ def test_spec_rejects_non_integer_count_by_key(key, value):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("key", ["warm_start", "wasserstein_raw"])
+def test_spec_rejects_non_boolean_flag_by_key(key):
+    """A truthy string or an integer built in Python would switch the flag
+    and then fail to reload from the manifest."""
+    for value in ("no", 1, 0, None):
+        with pytest.raises(ConfigError, match="must be a boolean") as err:
+            tiny_gauss_spec(**{key: value})
+        assert err.value.key == key
+
+
 def test_spec_counts_accept_numpy_integers_as_int():
-    spec = tiny_gauss_spec(replicates=np.int64(5), init_count=np.int32(3), max_rows=np.uint8(50))
-    assert [type(v) for v in (spec.replicates, spec.init_count, spec.max_rows)] == [int] * 3
+    spec = tiny_gauss_spec(replicates=np.int64(5), init_count=np.int32(3), max_rows=np.uint8(50),
+                           seed=np.uint64(2**64 - 1))
+    assert [type(v) for v in (spec.replicates, spec.init_count, spec.max_rows, spec.seed)] == [int] * 4
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from tailcast.objective import (
     objective_value,
     subgradient,
 )
-from tailcast.objective import RowSubgradients, _rank_counts, _rank_levels, _row_block
+from tailcast.objective import RowSubgradients, _rank_counts, _row_block
 from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
@@ -489,6 +488,12 @@ def _count_inputs():
     yield "ties_5_levels", np.round(4.0 * g.uniform(size=300)) / 4.0
     # heavy-tailed cdf values pinned at the ends of [0, 1]
     yield "saturated", np.clip(np.tan(np.pi * (g.uniform(size=257) - 0.5)), 0.0, 1.0)
+    # sizes at which the block width steps (to 2 at n = 16, to 4 at n = 64) or
+    # the last block is partial; "tied" draws the n values from four
+    for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1024, 1025, 2950):
+        h = RngStream(109, n).generator()
+        yield f"n{n}_untied", h.uniform(size=n)
+        yield f"n{n}_tied", np.round(3.0 * h.uniform(size=n)) / 3.0
 
 
 @pytest.mark.parametrize("name, f", list(_count_inputs()))
@@ -499,28 +504,10 @@ def test_rank_counts_equal_nxn_oracle(name, f):
     assert np.array_equal(c, co) and c.dtype == co.dtype
 
 
-@pytest.mark.parametrize("ties", ["untied", "tied"])
-@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1024, 1025, 2950])
-def test_split_rank_counts_equal_serial_and_oracle(n, ties):
-    """Counted with a worker taking every other merge level, on this thread
-    alone with the same levels, or with levels built per call, the counts
-    are the N x N oracle's; "tied" draws the n values from four."""
-    g = RngStream(109, n).generator()
-    f = g.uniform(size=n) if ties == "untied" else np.round(3.0 * g.uniform(size=n)) / 3.0
-    levels = _rank_levels(n)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        split = _rank_counts(f, pool, levels)
-    ro, co = rank_counts_oracle(f)
-    for r, c in (split, _rank_counts(f, levels=levels), _rank_counts(f)):
-        assert np.array_equal(r, ro) and r.dtype == ro.dtype
-        assert np.array_equal(c, co) and c.dtype == co.dtype
-
-
 @pytest.mark.parametrize("scale", [1.0, 40.0])
 def test_q4_mean_subgradient_bit_equal_to_nxn_formula(scale):
     """Exact integer counts leave every float operation, and so every bit, as
-    the N x N form had them, with or without a worker counting half the
-    rank levels; scale 40 saturates the cdf into heavy ties."""
+    the N x N form had them; scale 40 saturates the cdf into heavy ties."""
     samples = make_samples(n_rows=503, seed=4)
     spec = ObjectiveSpec("Q4", GAUSS, gamma=5.0)
     p = Predictor("linear", scale * np.array([0.3, -0.2, 0.5]))
@@ -532,10 +519,7 @@ def test_q4_mean_subgradient_bit_equal_to_nxn_formula(scale):
     coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
     coeff = coeff - 2.0 * spec.gamma / N * c * pg
     got = mean_subgradient(spec, p, samples)
-    assert np.array_equal(got, (coeff[:, None] * G).mean(axis=0))
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        split = mean_subgradient(spec, p, samples, pool=pool, levels=_rank_levels(N))
-    assert split.tobytes() == got.tobytes()
+    assert got.tobytes() == (coeff[:, None] * G).mean(axis=0).tobytes()
 
 
 def test_q4_mean_subgradient_memory_is_linear_in_rows():

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import tailcast.objective
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT
 from tailcast.errors import DivergedToNonFinite, DomainError, NonFiniteInput
 from tailcast.objective import (
@@ -538,63 +537,26 @@ def test_lockstep_overflowing_row_names_the_chain():
     assert err.value.chain == 1
 
 
-def test_only_a_batch_q4_solve_opens_a_worker_and_joins_it(monkeypatch):
-    """A solve with a batch Q4 chain opens one single-worker pool, which
-    counts rank levels off this thread, and no thread is left when the solve
-    returns; batch Q2/Q3 and online Q4 solves open none."""
-    opened, counted_on = [], set()
-    real = tailcast.objective._level_counts
+def test_no_solve_opens_a_pool(monkeypatch):
+    """Batch and online solves of every variant, a batch Q4 chain among them,
+    count on the calling thread: none opens a pool or leaves a thread."""
+    opened = []
 
     class Recorder(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    def level_counts(total, levels):
-        counted_on.add(threading.current_thread() is threading.main_thread())
-        return real(total, levels)
-
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(tailcast.objective, "_level_counts", level_counts)
     samples, m = lockstep_rows(seed=5), Cauchy(0.0, 1.0)
     q2, q3, q4 = ObjectiveSpec("Q2", m), ObjectiveSpec("Q3", m, gamma=5.0), ObjectiveSpec("Q4", m, gamma=2.0)
     batch, online = DescentConfig(mode="batch", max_iter=30), DescentConfig(mode="online", max_iter=30)
     before = set(threading.enumerate())
-    for specs, cfg, pools, on_main in (([q4], batch, [1], {True, False}),
-                                       ([q2, q4], batch, [1], {True, False}),
-                                       ([q2, q3], batch, [], set()),
-                                       ([q4], online, [], set())):
-        opened.clear()
-        counted_on.clear()
+    for specs, cfg in (([q4], batch), ([q2, q4], batch), ([q2, q3], batch), ([q4], online)):
         solve_lockstep(specs, samples, [Predictor("linear", [0.3, 0.3, 0.3])] * len(specs), cfg,
                        [RngStream(6, c).generator() for c in range(len(specs))])
-        assert opened == pools and counted_on == on_main
+        assert opened == []
         assert set(threading.enumerate()) == before
-
-
-@pytest.mark.parametrize("where", ["worker", "caller"])
-def test_batch_q4_solve_raises_what_either_rank_share_raises_and_joins_its_worker(where, monkeypatch):
-    """A MemoryError from the worker's share of the rank levels, or from the
-    calling thread's, reaches the caller of solve, and the worker is joined
-    before the error leaves it."""
-    real = tailcast.objective._level_counts
-    raised_on = []
-
-    def level_counts(total, levels):
-        on_worker = threading.current_thread() is not threading.main_thread()
-        if on_worker == (where == "worker"):
-            raised_on.append(threading.current_thread().name)
-            raise MemoryError("rank levels")
-        return real(total, levels)
-
-    monkeypatch.setattr(tailcast.objective, "_level_counts", level_counts)
-    spec = ObjectiveSpec("Q4", Cauchy(0.0, 1.0), gamma=2.0)
-    before = set(threading.enumerate())
-    with pytest.raises(MemoryError, match="rank levels"):
-        solve(spec, lockstep_rows(seed=5), Predictor("linear", [0.3, 0.3, 0.3]),
-              DescentConfig(mode="batch", max_iter=30), RngStream(6, 0).generator())
-    assert len(raised_on) == 1
-    assert set(threading.enumerate()) == before
 
 
 def test_lockstep_rejects_what_it_cannot_pack():

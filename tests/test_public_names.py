@@ -68,9 +68,9 @@ def test_cli_import_leaves_signal_unloaded():
 
 
 def test_cli_import_leaves_thread_pools_unloaded():
-    """Every thread pool (evaluation's replicate workers, the Gini worker,
-    a batch Q4 solve's rank worker) imports ``concurrent.futures`` where it
-    opens, so the import does not load it."""
+    """Every thread pool (evaluation's replicate workers, the Gini worker)
+    imports ``concurrent.futures`` where it opens, so the import does not
+    load it."""
     out = fresh_interpreter("import sys, tailcast.cli; print('concurrent.futures' in sys.modules)")
     assert out == "False"
 
