@@ -132,8 +132,8 @@ def _cmd_demo_metrics(args) -> int:
         raise ConfigError("rho", "must lie in [-1, 1]")
     if args.n < 10:
         raise ConfigError("n", "must be >= 10")
-    if args.seed < 0:
-        raise ConfigError("seed", "must be >= 0")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("seed", "must lie in [0, 2**64 - 1]")
     sample = _demo_pairs(args.pairs, args.rho, args.n, args.seed)
     gini = gini_empirical(sample)
     extra = f" rho={args.rho}" if args.pairs == "gaussian" else ""

@@ -126,10 +126,23 @@ class ExperimentSpec:
     wasserstein_raw: bool = False
 
     def __post_init__(self):
+        # a Python caller may pass 2.5, "no", "0.1" or None, which the JSON
+        # reader refuses; RngStream would run seed 2.5 as 2, "no" turns warm
+        # starts on, and a manifest written from name=5 does not reload
+        for key in ("name", "marginal_family"):
+            value = getattr(self, key)
+            if not (isinstance(value, str) or (value is None and key == "marginal_family")):
+                raise ConfigError(key, f"must be a string, got {reprlib.repr(value)}")
+        for key in ("h", "gamma"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(key, f"must be a real number, got {reprlib.repr(value)}")
+            try:
+                float(value)
+            except OverflowError:  # an integer np.isfinite cannot take
+                raise ConfigError(key, "must be a real number within the float range") from None
         if not (np.isfinite(self.h) and self.h > 0):
             raise ConfigError("h", "must be positive and finite")
-        # a Python caller may pass 2.5 or "no", which the JSON reader refuses;
-        # RngStream would run seed 2.5 as 2, and "no" turns warm starts on
         for key in ("replicates", "init_count", "max_rows", "seed"):
             value = getattr(self, key)
             if value is None and key == "max_rows":
@@ -473,58 +486,21 @@ def _split_fit(spec: ExperimentSpec) -> bool:
             and len(spec.fitted_indices) * spec.descent.max_iter >= _SPLIT_MIN_STEPS)
 
 
-def _fit_until_error(spec: ExperimentSpec, points) -> tuple:
-    """The fits a ``_fit_points`` generator yields, by point, and the error
-    that stopped it as ``(k, exception)`` at the point k it was fitting, or
-    None."""
-    fits = {}
-    try:
-        for k, point in points:
-            fits[k] = point
-    except Exception as exc:
-        return fits, (spec.fitted_indices[len(fits)], exc)
-    return fits, None
-
-
-# attributes of tailcast's errors that a child's error keeps in the parent
-_ERROR_ATTRS = ("key", "chain", "last_iterate")
-
-
-def _error_record(exc: BaseException) -> tuple:
-    """``exc`` as picklable parts: its class, message, the ``_ERROR_ATTRS``
-    it has and its cause's record. Pickling the exception itself would lose
-    attributes its constructor takes by keyword."""
-    cause = exc.__cause__
-    return (type(exc), str(exc), {a: getattr(exc, a) for a in _ERROR_ATTRS if hasattr(exc, a)},
-            None if cause is None else _error_record(cause))
-
-
-def _rebuilt_error(record: tuple) -> BaseException:
-    """The exception an ``_error_record`` describes, with its cause."""
-    cls, message, attrs, cause = record
-    exc = cls.__new__(cls)
-    exc.args = (message,)
-    for name, value in attrs.items():
-        setattr(exc, name, value)
-    exc.__cause__ = None if cause is None else _rebuilt_error(cause)
-    return exc
-
-
 def _fit_child(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, pipe_fd: int):
     """The child's side of ``_fit_split``: fit "unconstrained" at every point,
-    write its fits and the error that stopped them (None, or ``(k,
-    record)``) to ``pipe_fd``, and end the process; it never returns."""
+    write its fits, or None when the fit raised, to ``pipe_fd``, and end the
+    process; it never returns."""
     status = 1
     try:
-        fits, error = _fit_until_error(
-            spec, _fit_points(spec, traj, marginal, ["unconstrained"], baselines=False))
-        if error is not None:
-            error = (error[0], _error_record(error[1]))
+        try:
+            fits = dict(_fit_points(spec, traj, marginal, ["unconstrained"], baselines=False))
+        except Exception:
+            fits = None  # run_fit refits in one process, which raises the error
         with open(pipe_fd, "wb") as pipe:
             # the default protocol, 4: protocol 5 unpickles each weights array
             # as a view of a bytes object of its own, 40 KB more per fit of
             # online_extrap's 91 points, kept as long as the fits are
-            pipe.write(pickle.dumps((fits, error)))
+            pipe.write(pickle.dumps(fits))
         status = 0
     except Exception:
         # traceback, and signal in _fit_split, load where used: at module
@@ -539,13 +515,14 @@ def _fit_child(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, pipe_
             os._exit(status)
 
 
-def _fit_split(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, baselines: bool) -> dict:
+def _fit_split(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal,
+               baselines: bool) -> Optional[dict]:
     """Fits by point: "unconstrained" in a forked child, "penalized" and the
     baselines here, each method on the streams it has in ``run_fit``'s
-    single-process path. The child is reaped before this returns or raises,
-    and killed first if this raises on its own. When both sides fail, the
-    error at the earlier point wins, and at the same point the child's, whose
-    method comes first in METHOD_ORDER."""
+    single-process path; or None when either side raised an Exception, for
+    ``run_fit`` to refit in one process. The child is reaped before this
+    returns or raises, and killed first if this side fails or is interrupted,
+    so a failing parent does not wait for the child's fit."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -559,25 +536,23 @@ def _fit_split(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, basel
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            fits, error = _fit_until_error(
-                spec, _fit_points(spec, traj, marginal, ["penalized"], baselines))
+            fits = dict(_fit_points(spec, traj, marginal, ["penalized"], baselines))
             data = pipe.read()
-    except BaseException:
+    except BaseException as exc:
         import signal
 
         os.kill(pid, signal.SIGKILL)
-        raise
+        if not isinstance(exc, Exception):  # an interrupt: no refit
+            raise
+        return None
     finally:
         _, status = os.waitpid(pid, 0)
     if not data:
         raise RuntimeError("the process fitting the unconstrained method ended with no result "
                            f"(exit code {os.waitstatus_to_exitcode(status)})")
-    child_fits, child_error = pickle.loads(data)
-    if child_error is not None:
-        child_error = (child_error[0], _rebuilt_error(child_error[1]))
-    errors = [e for e in (child_error, error) if e is not None]
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]  # min keeps the first, the child's, on a tie
+    child_fits = pickle.loads(data)
+    if child_fits is None:
+        return None
     for k, point in fits.items():
         child_fits[k].update(point)  # after "unconstrained": METHOD_ORDER
     return child_fits
@@ -589,14 +564,15 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
     Each method owns its generators, so its weights do not depend on which
     methods run beside it, in one ``solve_lockstep`` call or another process.
     An online Q3 fit large enough to repay a fork (``_split_fit``) fits the
-    unconstrained method in a child process while this one fits the rest.
+    unconstrained method in a child process while this one fits the rest. A
+    split fit that fails is fitted again in one process, which raises the
+    error a one-process fit raises: its class, message, attributes and cause.
     """
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)
     baselines = "kriging" in spec.methods
-    if _split_fit(spec):
-        fits = _fit_split(spec, traj, marginal, baselines)
-    else:
+    fits = _fit_split(spec, traj, marginal, baselines) if _split_fit(spec) else None
+    if fits is None:
         solver_methods = list(_objective_specs(spec, marginal))
         fits = dict(_fit_points(spec, traj, marginal, solver_methods, baselines))
     return FitResults(spec, marginal, fits)

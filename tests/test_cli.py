@@ -369,6 +369,7 @@ def test_demo_metrics_bad_rho(capsys):
     (["--n", "0"], "'n'"),
     (["--n", "-3"], "'n'"),
     (["--seed", "-1"], "'seed'"),
+    (["--seed", str(2**64)], "'seed'"),
 ])
 def test_demo_metrics_bad_n_or_seed_exit_code_before_drawing(monkeypatch, capsys, argv, key):
     import tailcast.cli as cli

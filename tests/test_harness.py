@@ -3,6 +3,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from dataclasses import fields, replace
 from typing import get_args
 
@@ -264,6 +265,25 @@ def test_spec_rejects_non_integer_count_by_key(key, value):
     with pytest.raises(ConfigError, match="must be an integer") as err:
         tiny_gauss_spec(**{key: value})
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("name", 5), ("name", None), ("marginal_family", ["gaussian"]), ("marginal_family", 3),
+    ("h", "0.1"), ("h", True), ("h", None), ("h", 10**400),
+    ("gamma", "5"), ("gamma", True), ("gamma", None), ("gamma", -10**400),
+])
+def test_spec_rejects_a_value_of_the_wrong_type_by_key(key, value):
+    """A spec built in Python: each value would otherwise fail late, with no
+    key, or be written to a manifest that does not reload."""
+    with pytest.raises(ConfigError, match="must be a") as err:
+        tiny_gauss_spec(**{key: value})
+    assert err.value.key == key
+
+
+def test_spec_accepts_numpy_floats_as_real():
+    spec = tiny_gauss_spec(h=np.float64(0.1), gamma=np.float64(5.0))
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert tiny_gauss_spec(gamma=np.float32(5.0)).gamma == 5.0
 
 
 @pytest.mark.parametrize("key", ["warm_start", "wasserstein_raw"])
@@ -737,42 +757,59 @@ def test_split_fit_bit_equal_to_one_process(preset, monkeypatch):
     assert_same_fits(packed, split)
 
 
+@pytest.fixture
+def fitting(monkeypatch):
+    """The index, among the spec's fitted points, of the point ``_fit_points``
+    is fitting in this process, as its one item. A failure a test injects
+    keyed on it is raised again by the one-process refit of a failed split
+    fit, as a real fit error, which depends on the point alone, would be."""
+    current = [None]
+    real = tailcast.harness._point_problem
+
+    def point_problem(spec, traj, k):
+        current[0] = spec.fitted_indices.index(k)
+        return real(spec, traj, k)
+
+    monkeypatch.setattr(tailcast.harness, "_point_problem", point_problem)
+    return current
+
+
 @needs_fork
-@pytest.mark.parametrize("where", ["solve", "init_candidates"])
-def test_split_child_error_reraised_as_in_one_process(where, monkeypatch):
+@pytest.mark.parametrize("where", ["solve", "init_candidates", "TypeError"])
+def test_split_child_error_reraised_as_in_one_process(where, fitting, monkeypatch):
     """The unconstrained method fails at the second point, in the child."""
-    calls = []
     if where == "solve":
         real = tailcast.harness.solve_lockstep
 
         def patched(specs, *args):
-            if specs[0].variant == "Q2":
-                calls.append(1)
-                if len(calls) == 2:
-                    exc = DivergedToNonFinite("non-finite iterate at step 5",
-                                              last_iterate=np.array([0.25, -0.5]))
-                    exc.chain = 0
-                    raise exc
+            if specs[0].variant == "Q2" and fitting[0] == 1:
+                exc = DivergedToNonFinite("non-finite iterate at step 5",
+                                          last_iterate=np.array([0.25, -0.5]))
+                exc.chain = 0
+                raise exc
             return real(specs, *args)
         monkeypatch.setattr(tailcast.harness, "solve_lockstep", patched)
     else:
         real = tailcast.harness.init_candidates
 
         def patched(samples, ospec, *args, **kwargs):
-            if ospec.variant == "Q2":
-                calls.append(1)
-                if len(calls) == 2:
-                    raise DomainError("no start", key="init_count")
+            if ospec.variant == "Q2" and fitting[0] == 1:
+                if where == "TypeError":  # _fit_errors adds no point to its message
+                    raise TypeError("no start")
+                raise DomainError("no start", key="init_count")
             return real(samples, ospec, *args, **kwargs)
         monkeypatch.setattr(tailcast.harness, "init_candidates", patched)
-    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch, reset=calls.clear)
+    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch)
     assert_same_error(packed, split)
-    assert str(split).startswith("unconstrained fit at t=10.4: ")
     if where == "solve":
+        assert str(split).startswith("unconstrained fit at t=10.4: ")
         assert split.__cause__.chain == 0
         assert np.array_equal(split.last_iterate, [0.25, -0.5])
-    else:
+    elif where == "init_candidates":
+        assert str(split).startswith("unconstrained fit at t=10.4: ")
         assert split.__cause__.key == "init_count"
+    else:
+        assert type(split) is TypeError and str(split) == "no start"
 
 
 @needs_fork
@@ -790,25 +827,41 @@ def test_split_parent_error_as_in_one_process(monkeypatch):
 @pytest.mark.parametrize("child_point, parent_point, method", [
     (0, 1, "unconstrained"), (1, 0, "penalized"), (1, 1, "unconstrained")])
 def test_split_both_failing_raise_the_earlier_point(child_point, parent_point, method,
-                                                    monkeypatch):
+                                                    fitting, monkeypatch):
     """The error at the earlier point wins; at the same point the
-    unconstrained method's, which comes first in METHOD_ORDER."""
+    unconstrained method's, whose start is drawn first."""
     real = tailcast.harness.init_candidates
-    calls = {}
     fail_at = {"Q2": child_point, "Q3": parent_point}
 
     def init_candidates(samples, ospec, *args, **kwargs):
-        calls[ospec.variant] += 1
-        if calls[ospec.variant] == fail_at[ospec.variant] + 1:
+        if fitting[0] == fail_at[ospec.variant]:
             raise DomainError(f"{ospec.variant} stops")
         return real(samples, ospec, *args, **kwargs)
 
     monkeypatch.setattr(tailcast.harness, "init_candidates", init_candidates)
-    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch,
-                                     reset=lambda: calls.update(Q2=0, Q3=0))
+    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch)
     assert_same_error(packed, split)
     t = (10.3, 10.4)[min(child_point, parent_point)]
     assert str(split).startswith(f"{method} fit at t={t:g}: ")
+
+
+@needs_fork
+def test_split_both_failing_at_one_point_raise_as_in_one_process(monkeypatch):
+    """At the first point the penalized chain diverges in the lockstep solve,
+    before the unconstrained objective value that fails in the child is
+    computed: one process raises the divergence."""
+    real = tailcast.harness.objective_value
+
+    def objective_value(ospec, *args, **kwargs):
+        if ospec.variant == "Q2":
+            raise DomainError("Q2 objective fails")
+        return real(ospec, *args, **kwargs)
+
+    monkeypatch.setattr(tailcast.harness, "objective_value", objective_value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        packed, split = packed_and_split(tiny_gauss_spec(gamma=1e308), monkeypatch)
+    assert_same_error(packed, split)
+    assert str(split) == "penalized fit at t=10.3: non-finite iterate at step 5"
 
 
 class Interrupt(BaseException):
@@ -816,24 +869,51 @@ class Interrupt(BaseException):
 
 
 @needs_fork
-def test_split_parent_interrupted_kills_and_reaps_the_child(monkeypatch):
+@pytest.mark.parametrize("failure", ["interrupt", "fit error"])
+def test_split_parent_interrupted_kills_and_reaps_the_child(failure, monkeypatch):
+    """The parent fails at its first point while the child still fits it: an
+    interrupt propagates, a fit error is raised by the one-process refit, and
+    either way the child is killed, not waited for."""
+    parent = os.getpid()
+    real_solve = tailcast.harness.solve_lockstep
+
+    def solve_lockstep(*args):
+        if os.getpid() != parent:
+            time.sleep(20)  # the child's fit outlasts any wait of the test
+        return real_solve(*args)
+
     def covariances_exp(design):  # the baselines are fitted in the parent
         raise Interrupt
 
-    killed = []
-    real_kill = os.kill
+    killed, statuses = [], []
+    real_kill, real_waitpid = os.kill, os.waitpid
 
     def kill(pid, sig):
         killed.append(sig)
         real_kill(pid, sig)
 
-    monkeypatch.setattr(tailcast.harness, "covariances_exp", covariances_exp)
+    def waitpid(pid, options):
+        statuses.append(real_waitpid(pid, options)[1])
+        return pid, statuses[-1]
+
+    monkeypatch.setattr(tailcast.harness, "solve_lockstep", solve_lockstep)
+    if failure == "interrupt":
+        monkeypatch.setattr(tailcast.harness, "covariances_exp", covariances_exp)
     monkeypatch.setattr(os, "kill", kill)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
     monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
-    with pytest.raises(Interrupt):
-        run_fit(tiny_gauss_spec())
+    if failure == "interrupt":
+        with pytest.raises(Interrupt):
+            run_fit(tiny_gauss_spec())
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedToNonFinite,
+                               match=r"penalized fit at t=10\.3: non-finite iterate at step 5"):
+                run_fit(tiny_gauss_spec(gamma=1e308))
     assert killed == [signal.SIGKILL]
+    assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
+    assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
     # the autouse conftest guard checks that the child was reaped
 
 
