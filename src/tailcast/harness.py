@@ -11,8 +11,8 @@ method.
 Reproducibility: every random role (training draw, per-point fitting,
 per-replicate evaluation, row subsampling) owns a fixed stream id derived
 from the master seed, and replicate streams are keyed by replicate index,
-so outputs are identical across runs, thread counts and the processes an
-online fit is split across.
+so outputs are identical across runs, thread counts and the processes a
+fit is split across.
 """
 
 from __future__ import annotations
@@ -467,23 +467,52 @@ def _fit_points(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, meth
 # the one-process time at P = 1, 0.95-1.00x at 2, 0.90-0.94x at 3 and
 # 0.83-0.89x at 8 (2-vCPU VM, medians of 10 alternating run_fit calls)
 _SPLIT_MIN_STEPS = 900
+# Row-steps (learning rows summed over the fitted points, x max_iter) from
+# which a batch Q3 or Q4 fit runs its unconstrained method in a second
+# process. On q4_long, ar3 and a 100-point Gaussian window cut to fewer steps
+# or points, the split took 1.00-1.12x the one-process time at 12,000
+# row-steps, 0.96-1.02x at 30,000-35,000, 0.88-0.97x at 59,000-89,000 and
+# 0.71-0.85x from 118,000 on (2-vCPU VM, medians of 10 alternating run_fit
+# calls; README, "How a fit runs")
+_SPLIT_MIN_ROW_STEPS = 100_000
+
+
+def _row_steps(spec: ExperimentSpec) -> int:
+    """Learning rows summed over the fitted points, times ``max_iter``: the
+    rows a batch method's descent reads, from the window geometry alone.
+    Point k has one row per shift that keeps its design in the window, at
+    most ``max_rows``."""
+    w_lo, w_hi = _on_lattice("window", spec.window, spec.h)
+    offsets = spec.offset_indices
+    lo, hi = min(offsets), max(offsets)
+    rows = [w_hi - w_lo + 1 - (max(hi, k) - min(lo, k)) for k in spec.fitted_indices]
+    if spec.max_rows is not None:
+        rows = [min(r, spec.max_rows) for r in rows]
+    return sum(rows) * spec.descent.max_iter
 
 
 def _split_fit(spec: ExperimentSpec) -> bool:
     """Whether ``run_fit`` fits the unconstrained method in a forked child.
 
-    Only an online Q3 fit packs two methods into each ``solve_lockstep``
-    call; batch and Q4 fits keep one process. The split needs Linux, whose
-    fork a process that has loaded numpy survives (macOS system libraries
-    may not, and Windows has no fork); a second usable CPU for the child to
-    run on; no thread besides the caller's, since a fork copies only the
-    calling thread, and a lock another thread holds would stay held in the
-    child; and enough steps to repay the fork.
+    A fit with two solver methods may split: an online Q3 fit, whose two
+    methods otherwise pack into each ``solve_lockstep`` call, and a batch Q3
+    or Q4 fit, whose methods otherwise solve one after the other. An online
+    Q4 fit and a one-method (Q2) fit keep one process. The split needs Linux,
+    whose fork a process that has loaded numpy survives (macOS system
+    libraries may not, and Windows has no fork); a second usable CPU for the
+    child to run on; no thread besides the caller's, since a fork copies only
+    the calling thread, and a lock another thread holds would stay held in
+    the child; and enough work to repay the fork: fitted points x
+    ``max_iter`` online, and ``_row_steps`` in batch, since a batch step
+    reads every row.
     """
-    return (spec.descent.mode == "online" and spec.variant == "Q3"
-            and sys.platform == "linux"
-            and _usable_cpus() >= 2 and threading.active_count() == 1
-            and len(spec.fitted_indices) * spec.descent.max_iter >= _SPLIT_MIN_STEPS)
+    if spec.descent.mode == "online":
+        pays = (spec.variant == "Q3"
+                and len(spec.fitted_indices) * spec.descent.max_iter >= _SPLIT_MIN_STEPS)
+    else:
+        pays = spec.variant != "Q2" and _row_steps(spec) >= _SPLIT_MIN_ROW_STEPS
+    return (pays and sys.platform == "linux"
+            and _usable_cpus() >= 2 and threading.active_count() == 1)
 
 
 def _fit_child(spec: ExperimentSpec, traj: Trajectory, marginal: Marginal, pipe_fd: int):
@@ -563,10 +592,11 @@ def run_fit(spec: ExperimentSpec) -> FitResults:
 
     Each method owns its generators, so its weights do not depend on which
     methods run beside it, in one ``solve_lockstep`` call or another process.
-    An online Q3 fit large enough to repay a fork (``_split_fit``) fits the
-    unconstrained method in a child process while this one fits the rest. A
-    split fit that fails is fitted again in one process, which raises the
-    error a one-process fit raises: its class, message, attributes and cause.
+    An online Q3 or a batch Q3/Q4 fit large enough to repay a fork
+    (``_split_fit``) fits the unconstrained method in a child process while
+    this one fits the rest. A split fit that fails is fitted again in one
+    process, which raises the error a one-process fit raises: its class,
+    message, attributes and cause.
     """
     traj = _simulate_training(spec)
     marginal = _fit_marginal(spec, traj)

@@ -676,6 +676,18 @@ needs_fork = pytest.mark.skipif(sys.platform != "linux", reason="run_fit splits 
 
 ONLINE_PRESETS = ("gauss_extrap", "gauss_interp", "cauchy_extrap", "cauchy_interp",
                   "levy_extrap", "levy_interp")
+# case -> (preset, change to its spec): the online presets, batch Q3 on an
+# estimated Student-t marginal (ar3 itself), and batch Q4 as test_golden's
+# cauchy_extrap_q4_batch case runs it
+SPLIT_CASES = {preset: (preset, lambda spec: spec) for preset in ONLINE_PRESETS + ("ar3",)}
+SPLIT_CASES["cauchy_extrap_q4_batch"] = ("cauchy_extrap", lambda spec: replace(
+    spec, variant="Q4", init_strategy="simplex",
+    descent=replace(spec.descent, mode="batch", max_iter=30)))
+
+
+def tiny_batch_spec(**overrides):
+    """The tiny spec in batch mode: two methods, one after the other."""
+    return tiny_gauss_spec(**{"descent": DescentConfig(mode="batch", max_iter=40), **overrides})
 
 
 def no_fork():
@@ -696,7 +708,7 @@ def packed_and_split(spec, monkeypatch, reset=lambda: None):
     ``reset`` runs before each, to restart the call counts of a patch."""
     reset()
     with monkeypatch.context() as m:
-        m.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 10**18)
+        never_split(m)
         m.setattr(os, "fork", no_fork)
         packed = fit_outcome(spec)
     forks = []
@@ -708,12 +720,23 @@ def packed_and_split(spec, monkeypatch, reset=lambda: None):
 
     reset()
     with monkeypatch.context() as m:
-        m.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
-        m.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+        always_split(m)
         m.setattr(os, "fork", fork)
         split = fit_outcome(spec)
     assert forks == [os.getpid()]
     return packed, split
+
+
+def never_split(monkeypatch):
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 10**18)
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_ROW_STEPS", 10**18)
+
+
+def always_split(monkeypatch):
+    """Split every fit that may split, whatever its size and the CPU count."""
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
+    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
 
 
 def bits(x):
@@ -745,11 +768,12 @@ def assert_same_error(a, b):
 
 
 @needs_fork
-@pytest.mark.parametrize("preset", ONLINE_PRESETS)
-def test_split_fit_bit_equal_to_one_process(preset, monkeypatch):
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_fit_bit_equal_to_one_process(case, monkeypatch):
     from tailcast.cli import _load_config
 
-    spec = _load_config(preset)
+    preset, change = SPLIT_CASES[case]
+    spec = change(_load_config(preset))
     first, last = spec.fitted_indices[0], spec.fitted_indices[2]
     spec = replace(spec, prediction_interval=(round(first * spec.h, 9), round(last * spec.h, 9)))
     packed, split = packed_and_split(spec, monkeypatch)
@@ -774,21 +798,33 @@ def fitting(monkeypatch):
     return current
 
 
+# the tiny spec of each mode, and the solver entry run_fit calls in it: one
+# solve_lockstep call for both online chains, one solve call per batch method
+SPEC_OF = {"online": tiny_gauss_spec, "batch": tiny_batch_spec}
+SOLVE_OF = {"online": "solve_lockstep", "batch": "solve"}
+
+
+def solved_variant(mode, first):
+    """The variant a solve call with first argument ``first`` solves first."""
+    return (first[0] if mode == "online" else first).variant
+
+
 @needs_fork
+@pytest.mark.parametrize("mode", ["online", "batch"])
 @pytest.mark.parametrize("where", ["solve", "init_candidates", "TypeError"])
-def test_split_child_error_reraised_as_in_one_process(where, fitting, monkeypatch):
+def test_split_child_error_reraised_as_in_one_process(where, mode, fitting, monkeypatch):
     """The unconstrained method fails at the second point, in the child."""
     if where == "solve":
-        real = tailcast.harness.solve_lockstep
+        real = getattr(tailcast.harness, SOLVE_OF[mode])
 
-        def patched(specs, *args):
-            if specs[0].variant == "Q2" and fitting[0] == 1:
+        def patched(first, *args):
+            if solved_variant(mode, first) == "Q2" and fitting[0] == 1:
                 exc = DivergedToNonFinite("non-finite iterate at step 5",
                                           last_iterate=np.array([0.25, -0.5]))
                 exc.chain = 0
                 raise exc
-            return real(specs, *args)
-        monkeypatch.setattr(tailcast.harness, "solve_lockstep", patched)
+            return real(first, *args)
+        monkeypatch.setattr(tailcast.harness, SOLVE_OF[mode], patched)
     else:
         real = tailcast.harness.init_candidates
 
@@ -799,7 +835,7 @@ def test_split_child_error_reraised_as_in_one_process(where, fitting, monkeypatc
                 raise DomainError("no start", key="init_count")
             return real(samples, ospec, *args, **kwargs)
         monkeypatch.setattr(tailcast.harness, "init_candidates", patched)
-    packed, split = packed_and_split(tiny_gauss_spec(), monkeypatch)
+    packed, split = packed_and_split(SPEC_OF[mode](), monkeypatch)
     assert_same_error(packed, split)
     if where == "solve":
         assert str(split).startswith("unconstrained fit at t=10.4: ")
@@ -813,10 +849,11 @@ def test_split_child_error_reraised_as_in_one_process(where, fitting, monkeypatc
 
 
 @needs_fork
-def test_split_parent_error_as_in_one_process(monkeypatch):
+@pytest.mark.parametrize("mode", ["online", "batch"])
+def test_split_parent_error_as_in_one_process(mode, monkeypatch):
     # a huge penalty makes only the penalized chain diverge, in the parent
     with np.errstate(over="ignore", invalid="ignore"):
-        packed, split = packed_and_split(tiny_gauss_spec(gamma=1e308), monkeypatch)
+        packed, split = packed_and_split(SPEC_OF[mode](gamma=1e308), monkeypatch)
     assert isinstance(split, DivergedToNonFinite)
     assert str(split).startswith("penalized fit at t=10.3: non-finite iterate")
     assert_same_error(packed, split)
@@ -869,15 +906,17 @@ class Interrupt(BaseException):
 
 
 @needs_fork
+@pytest.mark.parametrize("mode, diverges_at", [("online", 5), ("batch", 0)])
 @pytest.mark.parametrize("failure", ["interrupt", "fit error"])
-def test_split_parent_interrupted_kills_and_reaps_the_child(failure, monkeypatch):
+def test_split_parent_interrupted_kills_and_reaps_the_child(failure, mode, diverges_at,
+                                                            monkeypatch):
     """The parent fails at its first point while the child still fits it: an
     interrupt propagates, a fit error is raised by the one-process refit, and
     either way the child is killed, not waited for."""
     parent = os.getpid()
-    real_solve = tailcast.harness.solve_lockstep
+    real_solve = getattr(tailcast.harness, SOLVE_OF[mode])
 
-    def solve_lockstep(*args):
+    def solve(*args):
         if os.getpid() != parent:
             time.sleep(20)  # the child's fit outlasts any wait of the test
         return real_solve(*args)
@@ -896,21 +935,20 @@ def test_split_parent_interrupted_kills_and_reaps_the_child(failure, monkeypatch
         statuses.append(real_waitpid(pid, options)[1])
         return pid, statuses[-1]
 
-    monkeypatch.setattr(tailcast.harness, "solve_lockstep", solve_lockstep)
+    monkeypatch.setattr(tailcast.harness, SOLVE_OF[mode], solve)
     if failure == "interrupt":
         monkeypatch.setattr(tailcast.harness, "covariances_exp", covariances_exp)
     monkeypatch.setattr(os, "kill", kill)
     monkeypatch.setattr(os, "waitpid", waitpid)
-    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
-    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    always_split(monkeypatch)
     if failure == "interrupt":
         with pytest.raises(Interrupt):
-            run_fit(tiny_gauss_spec())
+            run_fit(SPEC_OF[mode]())
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergedToNonFinite,
-                               match=r"penalized fit at t=10\.3: non-finite iterate at step 5"):
-                run_fit(tiny_gauss_spec(gamma=1e308))
+            with pytest.raises(DivergedToNonFinite, match=r"penalized fit at t=10\.3: non-finite "
+                                                          rf"iterate at step {diverges_at}$"):
+                run_fit(SPEC_OF[mode](gamma=1e308))
     assert killed == [signal.SIGKILL]
     assert len(statuses) == 1 and os.WIFSIGNALED(statuses[0])
     assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
@@ -928,32 +966,41 @@ def test_split_child_ending_without_a_result_raises(monkeypatch, capfd):
             yield k, point
 
     monkeypatch.setattr(tailcast.harness, "_fit_points", fit_points)
-    monkeypatch.setattr(tailcast.harness, "_SPLIT_MIN_STEPS", 0)
-    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    always_split(monkeypatch)
     with pytest.raises(RuntimeError, match=r"unconstrained method ended with no result "
                                            r"\(exit code 1\)"):
         run_fit(tiny_gauss_spec())
     assert "Traceback" in capfd.readouterr().err  # the child prints why
 
 
+def at_split_threshold(mode):
+    """The tiny spec of ``mode`` with the fewest steps that reach its split
+    threshold: points x max_iter online, row-steps in batch."""
+    if mode == "online":
+        per_step, least = len(tiny_gauss_spec().fitted_indices), tailcast.harness._SPLIT_MIN_STEPS
+    else:
+        spec = tiny_batch_spec(descent=DescentConfig(mode="batch", max_iter=1))
+        per_step, least = tailcast.harness._row_steps(spec), tailcast.harness._SPLIT_MIN_ROW_STEPS
+    return SPEC_OF[mode](descent=DescentConfig(mode=mode, max_iter=-(-least // per_step)))
+
+
 @needs_fork
 @pytest.mark.parametrize("why", ["one usable cpu", "a live thread", "below the threshold",
-                                 "batch", "Q2", "Q4"])
+                                 "batch below its threshold", "Q2", "Q4", "batch Q2"])
 def test_split_not_taken_where_it_cannot_run_or_pay(why, monkeypatch):
-    """run_fit stays in one process, with ``os.fork`` raising; three fitted
-    points of ``max_iter`` steps reach the threshold but for ``why``."""
-    max_iter = -(-tailcast.harness._SPLIT_MIN_STEPS // 3)
+    """run_fit stays in one process, with ``os.fork`` raising, for the tiny
+    spec of the fewest steps that reach its mode's threshold (the control)
+    but for ``why``; "below" takes one step fewer."""
+    mode = "batch" if why.startswith("batch") else "online"
     monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
-    spec = tiny_gauss_spec(descent=DescentConfig(mode="online", max_iter=max_iter))
+    spec = at_split_threshold(mode)
     assert tailcast.harness._split_fit(spec)  # the control: every condition holds
     if why == "one usable cpu":
         monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 1)
-    elif why == "below the threshold":
-        spec = replace(spec, descent=DescentConfig(mode="online", max_iter=max_iter - 1))
-    elif why == "batch":
-        spec = replace(spec, descent=DescentConfig(mode="batch", max_iter=max_iter))
-    elif why in ("Q2", "Q4"):
-        spec = replace(spec, variant=why)
+    elif "below" in why:
+        spec = replace(spec, descent=replace(spec.descent, max_iter=spec.descent.max_iter - 1))
+    elif why in ("Q2", "Q4", "batch Q2"):
+        spec = replace(spec, variant=why[-2:])
     monkeypatch.setattr(os, "fork", no_fork)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(30,))
@@ -970,10 +1017,43 @@ def test_split_not_taken_where_it_cannot_run_or_pay(why, monkeypatch):
     assert sorted(fits.fits) == spec.fitted_indices
 
 
-def test_split_needs_a_second_usable_cpu():
+@needs_fork
+def test_batch_fit_at_its_threshold_splits(monkeypatch):
+    """The control of the batch cases above, run: the fit forks once."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(tailcast.harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    run_fit(at_split_threshold("batch"))
+    assert forks == [os.getpid()]
+
+
+@pytest.mark.parametrize("case", ["tiny", "ar3", "cauchy_extrap_q4_batch", "max_rows"])
+def test_row_steps_count_the_rows_each_point_extracts(case):
+    from tailcast.cli import _load_config
+
+    if case == "tiny":
+        spec = tiny_batch_spec()
+    elif case == "max_rows":  # caps the rows of some points only
+        spec = tiny_batch_spec(max_rows=96)
+    else:
+        preset, change = SPLIT_CASES[case]
+        spec = change(_load_config(preset))
+    traj = tailcast.harness._simulate_training(spec)
+    rows = [tailcast.harness._point_problem(spec, traj, k)[1].count for k in spec.fitted_indices]
+    assert tailcast.harness._row_steps(spec) == sum(rows) * spec.descent.max_iter
+
+
+@pytest.mark.parametrize("mode", ["online", "batch"])
+def test_split_needs_a_second_usable_cpu(mode):
     """On the affinity set this process really has: ``taskset -c 0`` keeps
-    every fit in one process."""
-    spec = tiny_gauss_spec(descent=DescentConfig(mode="online", max_iter=10**6))
+    every fit, online or batch, in one process."""
+    spec = SPEC_OF[mode](descent=DescentConfig(mode=mode, max_iter=10**6))
     linux = sys.platform == "linux"
     assert tailcast.harness._split_fit(spec) == (linux and _usable_cpus() >= 2)
 

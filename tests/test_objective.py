@@ -16,7 +16,7 @@ from tailcast.objective import (
     objective_value,
     subgradient,
 )
-from tailcast.objective import RowSubgradients, _rank_counts, _row_block
+from tailcast.objective import RowSubgradients, _earlier_smaller, _rank_counts, _row_block
 from tailcast.processes import simulate_gauss_exp_cov
 from tailcast.rng import RngStream
 
@@ -470,6 +470,83 @@ def test_packed_row_subgradients_name_the_overflowing_chain():
     assert np.all(np.isfinite(kernel(W, [1, 1, 1], [1, 1])))
 
 
+def mean_subgradient_oracle(spec, p, samples, rng=None):
+    """The batch step as it was first written: the rows copied by
+    ``np.concatenate`` of their one range, the checked cdf, the N x N counts."""
+    rows = slice(None)
+    X, y = np.concatenate([samples.X[rows]]), np.concatenate([samples.y[rows]])
+    ghat = np.concatenate([p.values(samples.X[rows])])
+    pg = spec.marginal.pdf(ghat)
+    G, coeff = p.jacobian(X), (2.0 * (y < ghat) - 1.0) * pg
+    if spec.variant == "Q2":
+        return (coeff[:, None] * G).mean(axis=0)
+    N = samples.count
+    fg = spec.marginal.cdf(ghat)
+    if spec.variant == "Q3":
+        idx = rng.integers(0, N, size=N)
+        gb = ghat[idx]
+        coeff = coeff + spec.gamma * (2.0 * fg - (gb < ghat)) * pg
+        cross = -spec.gamma * (gb >= ghat) * pg[idx]
+        return ((coeff[:, None] * G) + (cross[:, None] * G[idx])).mean(axis=0)
+    r, c = rank_counts_oracle(fg)
+    coeff = coeff + spec.gamma * (2.0 * fg - 1.0 / N - 2.0 / N * r) * pg
+    coeff = coeff - 2.0 * spec.gamma / N * c * pg
+    return (coeff[:, None] * G).mean(axis=0)
+
+
+@pytest.mark.parametrize("variant", ["Q2", "Q3", "Q4"])
+@pytest.mark.parametrize("kind", ["linear", "squared", "max"])
+def test_mean_subgradient_bit_equal_to_concatenating_oracle(kind, variant):
+    """Views of the rows give every bit the copies gave: the edge rows of
+    ``_oracle_rows`` (zero, tied and repeated predictions) among 300 Cauchy
+    rows, so that the matrix products run over many rows."""
+    n = 4
+    edge = _oracle_rows(n, seed=31)
+    g = RngStream(31, 1).generator()
+    X = np.vstack([edge.X, g.standard_cauchy((300, n))])
+    samples = LearningSamples(g.standard_cauchy(X.shape[0]), X, np.arange(X.shape[0], dtype=float))
+    marginals = (GAUSS, Cauchy(0.2, 1.5), Levy(0.8), StudentT(0.0, 1.0, 0.8))
+    for w in (g.standard_normal(n), np.full(n, 0.7)):
+        p = Predictor(kind, w)
+        for marginal in marginals:
+            spec = ObjectiveSpec(variant, marginal, gamma=5.0)
+            got = mean_subgradient(spec, p, samples, rng=RngStream(32, 0).generator())
+            want = mean_subgradient_oracle(spec, p, samples, rng=RngStream(32, 0).generator())
+            assert got.tobytes() == want.tobytes(), (marginal, w)
+
+
+@pytest.mark.parametrize("variant", ["Q2", "Q3", "Q4"])
+@pytest.mark.parametrize("kind", ["linear", "squared", "max"])
+def test_mean_subgradient_raises_on_overflowing_prediction(kind, variant):
+    """The checked pdf refuses the overflowing row before the unchecked cdf
+    sees it."""
+    X = np.array([[0.5, -0.25], [1e308, 1e308]])
+    samples = LearningSamples(np.zeros(2), X, np.arange(2.0))
+    spec = ObjectiveSpec(variant, GAUSS, gamma=5.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteInput):
+            mean_subgradient(spec, Predictor(kind, np.array([10.0, 10.0])), samples,
+                             rng=RngStream(4, 0).generator())
+
+
+def test_batch_q2_step_holds_no_copy_of_the_rows():
+    """A linear batch Q2 step at N = 20000, n = 10 reads X in place: its one
+    N x n temporary is the product of the coefficients and the jacobian rows
+    (X itself), so the traced peak stays below 1.5 copies of X; a copy of
+    the rows would add a whole one."""
+    samples = make_samples(n_rows=20_000, n_pred=10, seed=6)
+    spec = ObjectiveSpec("Q2", GAUSS)
+    p = Predictor("linear", np.full(10, 0.1))
+    mean_subgradient(spec, p, samples)  # the kernels' first-call allocations
+    tracemalloc.start()
+    try:
+        mean_subgradient(spec, p, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * samples.X.nbytes
+
+
 def rank_counts_oracle(f):
     """The N x N form: r_j = #{i<j: f_i < f_j}, c_j = #{i>j: f_i < f_j}."""
     less = f[:, None] < f[None, :]  # less[i, j] = f_i < f_j
@@ -488,20 +565,44 @@ def _count_inputs():
     yield "ties_5_levels", np.round(4.0 * g.uniform(size=300)) / 4.0
     # heavy-tailed cdf values pinned at the ends of [0, 1]
     yield "saturated", np.clip(np.tan(np.pi * (g.uniform(size=257) - 0.5)), 0.0, 1.0)
-    # sizes at which the block width steps (to 2 at n = 16, to 4 at n = 64) or
-    # the last block is partial; "tied" draws the n values from four
-    for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1024, 1025, 2950):
+    # sizes at which the block width steps (to 2 at n = 16, 3 at 36, 4 at 64,
+    # 5 at 100) or the last block is partial; "tied" draws the n values from four
+    for n in (1, 2, 3, 15, 16, 17, 31, 32, 33, 35, 36, 37, 63, 64, 65, 99, 100, 101,
+              1024, 1025, 2950):
         h = RngStream(109, n).generator()
         yield f"n{n}_untied", h.uniform(size=n)
         yield f"n{n}_tied", np.round(3.0 * h.uniform(size=n)) / 3.0
+    # one tie only, between the first or the last two rows, or between the two
+    # smallest or the two largest values
+    for n in (2, 3, 16, 37, 1025):
+        v = RngStream(110, n).generator().uniform(size=n)
+        ranked = np.argsort(v)
+        for name, (i, j) in (("first_rows", (0, 1)), ("last_rows", (-2, -1)),
+                             ("smallest", ranked[:2]), ("largest", ranked[-2:])):
+            f = v.copy()
+            f[j] = f[i]
+            yield f"n{n}_tie_{name}", f
 
 
 @pytest.mark.parametrize("name, f", list(_count_inputs()))
 def test_rank_counts_equal_nxn_oracle(name, f):
+    if "untied" in name or "_tie_" in name:  # no tie (the one-sort branch), or one
+        assert np.unique(f).size == f.size - ("_tie_" in name)
     r, c = _rank_counts(f)
     ro, co = rank_counts_oracle(f)
     assert np.array_equal(r, ro) and r.dtype == ro.dtype
     assert np.array_equal(c, co) and c.dtype == co.dtype
+
+
+@pytest.mark.parametrize("width", [255, 256, 257, 300])
+def test_earlier_smaller_counts_past_a_uint8_block(width):
+    """Block widths above 256 (N >= 264,196) count past 255 in a wider type;
+    an ascending block reaches width - 1."""
+    keys = np.vstack([np.arange(width), RngStream(111, width).generator().permutation(width),
+                      np.arange(width)[::-1]])
+    want = [int(np.sum(row[:k] < row[k])) for row in keys for k in range(width)]
+    got = _earlier_smaller(keys)
+    assert got.tolist() == want and got.max() == width - 1
 
 
 @pytest.mark.parametrize("scale", [1.0, 40.0])

@@ -50,6 +50,11 @@ def tied_arrays(draw, min_size=1, max_size=64):
     return np.array(draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size)))
 
 
+def untied_arrays(min_size=1, max_size=64):
+    """An array of distinct values (0.0 and -0.0 tie, so at most one of them)."""
+    return st.lists(FINITE, min_size=min_size, max_size=max_size, unique=True).map(np.array)
+
+
 @st.composite
 def heavy_pairs(draw):
     """A weighting marginal and a pair sample drawn from a heavy-tailed law:
@@ -75,7 +80,7 @@ def tied_pairs(draw):
 
 
 @PROPERTY
-@given(f=tied_arrays())
+@given(f=tied_arrays() | untied_arrays())
 def test_rank_counts_equal_nxn_oracle_on_tied_arrays(f):
     r, c = _rank_counts(f)
     ro, co = rank_counts_oracle(f)
