@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput
+from .errors import DomainError, NonFiniteInput, check_fields
 
 __all__ = [
     "Marginal",
@@ -68,8 +68,8 @@ class Marginal:
     """Base class for the parametric families.
 
     A family is a frozen dataclass whose fields are its parameters, in the
-    order ``params()`` lists them; every one must be finite, and each name
-    in ``_positive`` must be > 0. Subclasses implement
+    order ``params()`` lists them; every one is stored as a float and must
+    be finite, and each name in ``_positive`` must be > 0. Subclasses implement
     ``_cdf``/``_pdf``/``_quantile`` on float arrays and ``sample``; input
     checking and scalar/array symmetry live here.
     """
@@ -78,11 +78,12 @@ class Marginal:
     _positive = ()
 
     def __post_init__(self):
+        check_fields(self)
         if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise NonFiniteInput("parameters must be finite")
         for name in self._positive:
             if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+                raise DomainError(f"{name} must be positive", key=name)
 
     def _dispatch(self, impl, x):
         scalar = x.ndim == 0
@@ -102,7 +103,7 @@ class Marginal:
         raise NotImplementedError
 
     def params(self) -> dict:
-        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())

@@ -17,7 +17,6 @@ fit is split across.
 
 from __future__ import annotations
 
-import numbers
 import os
 import pickle
 import reprlib
@@ -26,26 +25,26 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Literal, Optional
 
 import numpy as np
 
 from . import distributions
 from .csvio import write_csv
 from .distributions import Marginal
-from .errors import ConfigError, DivergedToNonFinite, DomainError
+from .errors import ConfigError, DivergedToNonFinite, DomainError, check_fields, checked, field_hints
 from .metrics import wasserstein2_samples
 from .objective import (
-    PREDICTOR_KINDS,
-    VARIANTS,
     ForecastDesign,
     ObjectiveSpec,
     Predictor,
+    PredictorKind,
+    Variant,
     centered_objective,
     extract_learning_samples,
     objective_value,
 )
-from .optimize import COLD_STARTS, DescentConfig, init_candidates, solve, solve_lockstep
+from .optimize import ColdStart, DescentConfig, init_candidates, solve, solve_lockstep
 from .processes import (
     _KINDS,
     ArStudentT,
@@ -111,80 +110,44 @@ class ExperimentSpec:
     window: tuple
     forecast_offsets: tuple
     prediction_interval: tuple
-    predictor_kind: str = "linear"
-    variant: str = "Q3"
+    predictor_kind: PredictorKind = "linear"
+    variant: Variant = "Q3"
     gamma: float = 5.0
-    marginal_mode: str = "known"
+    marginal_mode: Literal["known", "estimated"] = "known"
     marginal_family: Optional[str] = None
     max_rows: Optional[int] = None
     descent: DescentConfig = field(default_factory=DescentConfig)
     replicates: int = 1000
     seed: int = 0
     warm_start: bool = True
-    init_strategy: str = "unit"
+    init_strategy: ColdStart = "unit"
     init_count: int = 8
     wasserstein_raw: bool = False
 
     def __post_init__(self):
-        # a Python caller may pass 2.5, "no", "0.1" or None, which the JSON
-        # reader refuses; RngStream would run seed 2.5 as 2, "no" turns warm
-        # starts on, and a manifest written from name=5 does not reload
-        for key in ("name", "marginal_family"):
-            value = getattr(self, key)
-            if not (isinstance(value, str) or (value is None and key == "marginal_family")):
-                raise ConfigError(key, f"must be a string, got {reprlib.repr(value)}")
-        for key in ("h", "gamma"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(key, f"must be a real number, got {reprlib.repr(value)}")
-            try:
-                float(value)
-            except OverflowError:  # an integer np.isfinite cannot take
-                raise ConfigError(key, "must be a real number within the float range") from None
+        try:
+            check_fields(self)
+        except DomainError as exc:
+            raise ConfigError(exc.key, str(exc)) from None
         if not (np.isfinite(self.h) and self.h > 0):
             raise ConfigError("h", "must be positive and finite")
-        for key in ("replicates", "init_count", "max_rows", "seed"):
-            value = getattr(self, key)
-            if value is None and key == "max_rows":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(key, f"must be an integer, got {reprlib.repr(value)}")
-            object.__setattr__(self, key, int(value))
-        for key in ("warm_start", "wasserstein_raw"):
-            value = getattr(self, key)
-            if not isinstance(value, bool):
-                raise ConfigError(key, f"must be a boolean, got {reprlib.repr(value)}")
-        if self.replicates < 1:
-            raise ConfigError("replicates", "must be >= 1")
+        for key in ("replicates", "init_count", "max_rows"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(key, "must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", "must lie in [0, 2**64 - 1]")
-        if self.init_count < 1:
-            raise ConfigError("init_count", "must be >= 1")
-        if self.max_rows is not None and self.max_rows < 1:
-            raise ConfigError("max_rows", "must be >= 1")
         if not (np.isfinite(self.gamma) and self.gamma >= 0):
             raise ConfigError("gamma", "must be finite and >= 0")
-        if self.marginal_mode not in ("known", "estimated"):
-            raise ConfigError("marginal_mode", "must be 'known' or 'estimated'")
         if self.marginal_mode == "estimated" and not self.marginal_family:
             raise ConfigError("marginal_family", "required when marginal_mode is 'estimated'")
         if self.marginal_mode == "known":
             known_marginal(self.process)  # names marginal_mode for a process without one
-        if self.variant not in VARIANTS:
-            raise ConfigError("variant", f"must be one of {VARIANTS}")
-        if self.predictor_kind not in PREDICTOR_KINDS:
-            raise ConfigError("predictor_kind", f"must be one of {PREDICTOR_KINDS}")
-        if self.init_strategy not in COLD_STARTS:
-            raise ConfigError("init_strategy", f"must be one of {COLD_STARTS}")
         for key in ("window", "prediction_interval"):
-            lo_hi = tuple(float(v) for v in getattr(self, key))
+            lo_hi = getattr(self, key)
             if len(lo_hi) != 2 or not np.all(np.isfinite(lo_hi)) or lo_hi[1] < lo_hi[0]:
                 raise ConfigError(key, "must be [lo, hi] with finite lo <= hi")
-            object.__setattr__(self, key, lo_hi)
-        offsets = tuple(float(v) for v in self.forecast_offsets)
-        if not offsets or not np.all(np.isfinite(offsets)):
+        if not self.forecast_offsets or not np.all(np.isfinite(self.forecast_offsets)):
             raise ConfigError("forecast_offsets", "must be a non-empty list of finite numbers")
-        object.__setattr__(self, "forecast_offsets", offsets)
         if self.marginal_family is not None and self.marginal_family not in distributions._FAMILIES:
             raise ConfigError("marginal_family", f"must be one of {tuple(distributions._FAMILIES)}")
         # the geometry run_fit would otherwise trip over after simulating, in
@@ -253,65 +216,48 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     return _to_json(spec)
 
 
-def _checked(key, value, kind):
-    """``value`` as ``kind``, refusing any coercion but int to float (JSON
-    writes 5.0 as 5); a boolean passes only as a boolean."""
-    accepted = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}[kind]
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(key, f"must be of type {kind.__name__}, got {reprlib.repr(value)}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(key, "integer beyond the float range") from None
-
-
 def _value(key, value, hint):
-    """The JSON value of config key ``key`` as a field of type ``hint``."""
-    if get_origin(hint) is Union and type(None) in get_args(hint):  # Optional[X]
-        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    """The JSON value of config key ``key`` as a field of type ``hint``: an
+    object as its dataclass, a process by its ``kind``, a marginal by its
+    family; any other value as it is, for the dataclass to check."""
     if hint == ProcessSpec:
         if not (isinstance(value, dict) and "kind" in value):
             raise ConfigError(key, "must be an object with a 'kind' key")
-        kind = _checked(f"{key}.kind", value["kind"], str)
-        if kind not in _KINDS:
+        kind = value["kind"]
+        if not (isinstance(kind, str) and kind in _KINDS):
             raise ConfigError(f"{key}.kind", f"unknown process kind {reprlib.repr(kind)}")
         return _object(_KINDS[kind], {k: v for k, v in value.items() if k != "kind"}, key)
     if is_dataclass(hint):
         return _object(hint, value, key)
-    if hint is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(key, f"must be a list of numbers, got {reprlib.repr(value)}")
-        return tuple(_checked(key, v, float) for v in value)
     if hint is Marginal:
         if not (isinstance(value, dict) and set(value) <= {"family", "params"}
                 and isinstance(value.get("params", {}), dict)):
             raise ConfigError(key, "must be an object {family, params}")
-        params = {name: _checked(key, v, float) for name, v in value.get("params", {}).items()}
         try:
-            return distributions.from_json({"family": value.get("family"), "params": params})
+            return distributions.from_json(value)
         except (ValueError, TypeError) as exc:  # TypeError: a family that is not hashable
             raise ConfigError(key, str(exc)) from None
-    return _checked(key, value, hint)
+    return value
 
 
 def _object(cls, d, key=None):
     """Dataclass ``cls`` from the JSON object ``d``, the value of config key
     ``key`` (None for the top level). The fields are the schema: a key is
-    required when its field has no default, may be null when that default is
-    None, and is read by its field's type hint. A ConfigError building ``cls``
-    passes through; any other error names the field its ``key`` gives (as a
-    DescentConfig DomainError does), else the first field (a process's)."""
+    required when its field has no default, and its value is read by the
+    field's type hint, which the dataclass checks (``errors.check_fields``).
+    A ConfigError building ``cls`` passes through; any other ValueError
+    names the field its ``key`` gives (as every DomainError of a descent or
+    process does), else the first field."""
     if not isinstance(d, dict):
         raise ConfigError(key or "config", "must be an object")
     prefix = f"{key}." if key else ""
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
+    hints = field_hints(cls)
     for name in d:
-        if name not in names:
+        if name not in hints:
             raise ConfigError(prefix + name, "unknown key")
     kwargs = {}
     for f in fields(cls):
-        if f.name in d and not (d[f.name] is None and f.default is None):
+        if f.name in d:
             kwargs[f.name] = _value(prefix + f.name, d[f.name], hints[f.name])
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(prefix + f.name, "missing required key")
@@ -319,8 +265,9 @@ def _object(cls, d, key=None):
         return cls(**kwargs)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(prefix + (getattr(exc, "key", None) or names[0]), str(exc)) from None
+    except ValueError as exc:
+        name = getattr(exc, "key", None) or fields(cls)[0].name
+        raise ConfigError(prefix + name, str(exc)) from None
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
@@ -673,8 +620,7 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     """
     if threads is None:
         threads = _usable_cpus() if isinstance(spec.process, ArStudentT) else 1
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
-        raise DomainError(f"threads must be an integer, got {reprlib.repr(threads)}", key="threads")
+    threads = checked("threads", int, threads)
     if threads < 1:
         raise DomainError("threads must be >= 1", key="threads")
     marginal = fits.marginal

@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal, get_args
 
 import numpy as np
 
 from .distributions import Marginal
-from .errors import DomainError, NonFiniteInput
+from .errors import DomainError, NonFiniteInput, check_fields
 from .processes import Trajectory, _aligned_index
 from .rng import as_generator
 
@@ -62,8 +63,9 @@ __all__ = [
     "centered_objective",
 ]
 
-PREDICTOR_KINDS = ("linear", "squared", "max")
-VARIANTS = ("Q2", "Q3", "Q4")
+PredictorKind = Literal["linear", "squared", "max"]
+Variant = Literal["Q2", "Q3", "Q4"]
+PREDICTOR_KINDS = get_args(PredictorKind)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class Predictor:
     max:     g = max_i w_i x_i
     """
 
-    kind: str
+    kind: PredictorKind
     weights: np.ndarray
 
     def __post_init__(self):
@@ -208,13 +210,12 @@ class Predictor:
 class ObjectiveSpec:
     """Functional variant, penalty strength and marginal law."""
 
-    variant: str
+    variant: Variant
     marginal: Marginal
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}")
+        check_fields(self)
         if not np.isfinite(self.gamma) or self.gamma < 0:
             raise DomainError("gamma must be finite and >= 0")
 

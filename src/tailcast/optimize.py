@@ -24,14 +24,14 @@ which computes F(y) once.
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 import time
 from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
-from .errors import DivergedToNonFinite, DomainError, NonFiniteInput
+from .errors import DivergedToNonFinite, DomainError, NonFiniteInput, check_fields
 from .objective import (  # noqa: F401  objective_value: perfbench/spans.py wraps it here
     LearningSamples,
     ObjectiveSpec,
@@ -54,10 +54,12 @@ __all__ = [
     "write_trace_csv",
 ]
 
-MODES = ("batch", "online")
-COLD_STARTS = ("unit", "simplex")  # init strategies that need no previous solution
-SELECTIONS = ("last", "polyak", "best")
-CONSTRAINTS = ("unconstrained", "nonneg", "ball")
+Mode = Literal["batch", "online"]
+ColdStart = Literal["unit", "simplex"]  # init strategies that need no previous solution
+Selection = Literal["last", "polyak", "best"]
+Constraint = Literal["unconstrained", "nonneg", "ball"]
+COLD_STARTS = get_args(ColdStart)
+CONSTRAINTS = get_args(Constraint)
 _BLOCK_STEPS = 1024  # most steps in one window, whose rows a lockstep chain draws ahead
 
 
@@ -65,30 +67,20 @@ _BLOCK_STEPS = 1024  # most steps in one window, whose rows a lockstep chain dra
 class DescentConfig:
     """Step schedule, budget, stopping rule, selection and constraint set."""
 
-    mode: str = "online"
+    mode: Mode = "online"
     a: float = 10.0
     b: float = 10.0
     beta: float = 0.7
-    max_iter: int = 300
+    max_iter: int = 300  # a float budget never runs out
     tol: float = 0.0
     burn_in: int = 0
-    selection: str = "best"
-    constraint: str = "unconstrained"
+    selection: Selection = "best"
+    constraint: Constraint = "unconstrained"
     radius: float = 1.0
     trace_stride: int = 10
 
     def __post_init__(self):
-        for key in ("max_iter", "burn_in", "trace_stride"):  # a float budget never runs out
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{key} must be an integer, got {reprlib.repr(value)}", key=key)
-            object.__setattr__(self, key, int(value))
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}", key="mode")
-        if self.selection not in SELECTIONS:
-            raise DomainError(f"selection must be one of {SELECTIONS}", key="selection")
-        if self.constraint not in CONSTRAINTS:
-            raise DomainError(f"constraint must be one of {CONSTRAINTS}", key="constraint")
+        check_fields(self)
         if not (self.a > 0 and np.isfinite(self.a)):
             raise DomainError("step scale a must be positive", key="a")
         if not (self.b > 0 and np.isfinite(self.b)):  # step(0) divides by b ** beta
@@ -103,8 +95,8 @@ class DescentConfig:
             raise DomainError("tol must be finite and >= 0", key="tol")
         if not (0 <= self.burn_in < self.max_iter):
             raise DomainError("burn_in must lie in [0, max_iter)", key="burn_in")
-        if self.constraint == "ball" and not (self.radius > 0):
-            raise DomainError("ball constraint needs radius > 0", key="radius")
+        if not self.radius > 0:  # NaN too, which the manifest would not reload as equal
+            raise DomainError("radius must be > 0", key="radius")
         if self.trace_stride < 1:
             raise DomainError("trace_stride must be >= 1", key="trace_stride")
 

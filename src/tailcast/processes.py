@@ -26,7 +26,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .distributions import Cauchy, Gaussian, Levy, Marginal
-from .errors import DomainError, NonFiniteInput
+from .errors import DomainError, NonFiniteInput, check_fields
 
 __all__ = [
     "Trajectory",
@@ -119,8 +119,9 @@ class StableMovingAverage:
     alpha: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.alpha not in (0.5, 1.0):
-            raise DomainError(f"alpha must be 0.5 or 1.0, got {self.alpha}")
+            raise DomainError(f"alpha must be 0.5 or 1.0, got {self.alpha}", key="alpha")
 
     @property
     def kernel(self) -> np.ndarray:
@@ -145,18 +146,16 @@ class ArStudentT:
     innovation: Marginal
 
     def __post_init__(self):
-        phi = tuple(float(c) for c in self.phi)
-        if len(phi) < 1 or not all(np.isfinite(phi)):
-            raise NonFiniteInput("need at least one finite coefficient")
+        check_fields(self)
+        if len(self.phi) < 1 or not all(np.isfinite(self.phi)):
+            raise DomainError("need at least one finite coefficient", key="phi")
         # characteristic polynomial 1 - sum_j phi_j z^(p-j+1); lag-k
         # coefficient is phi_{p-k+1}
-        a = np.array(phi[::-1])  # a[k-1] multiplies lag k
+        a = np.array(self.phi[::-1])  # a[k-1] multiplies lag k
         roots = np.roots(np.concatenate([-a[::-1], [1.0]]))
         if np.any(np.abs(roots) <= 1.0):
-            raise DomainError(
-                f"characteristic roots {np.abs(roots)} must lie outside the unit circle"
-            )
-        object.__setattr__(self, "phi", phi)
+            raise DomainError(f"characteristic roots {np.abs(roots)} must lie outside the unit "
+                              "circle", key="phi")
 
     @property
     def lag_coeffs(self) -> np.ndarray:

@@ -303,6 +303,39 @@ def test_spec_counts_accept_numpy_integers_as_int():
     assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
+def built(factory, key, value, **fixed):
+    """A case of the test below: ``factory(key=value, **fixed)`` must name ``key``."""
+    return pytest.param(factory, {**fixed, key: value}, key, id=f"{factory.__name__}({key}={value!r})")
+
+
+AR_INNOVATION = StudentT(0.0, 1.0, 0.8)
+
+
+@pytest.mark.parametrize("factory, kwargs, key", [
+    built(DescentConfig, "a", True), built(DescentConfig, "tol", True),
+    built(DescentConfig, "beta", True), built(DescentConfig, "radius", "1"),
+    built(DescentConfig, "a", "10"), built(DescentConfig, "a", None),
+    built(tiny_gauss_spec, "window", "abc"), built(tiny_gauss_spec, "window", ("0", "9.9")),
+    built(tiny_gauss_spec, "forecast_offsets", [True, 10.1]),
+    built(tiny_gauss_spec, "forecast_offsets", None),
+    built(tiny_gauss_spec, "process", None), built(tiny_gauss_spec, "process", "gauss"),
+    built(tiny_gauss_spec, "descent", None), built(tiny_gauss_spec, "descent", {"a": 1}),
+    built(StableMovingAverage, "alpha", True),
+    built(ArStudentT, "phi", (True,), innovation=AR_INNOVATION),
+    built(ArStudentT, "innovation", "t", phi=(0.5,)),
+    built(StudentT, "nu", True), built(StudentT, "nu", "1"),
+])
+def test_python_built_config_rejects_a_wrong_type_by_key(factory, kwargs, key):
+    """Built in Python, where no JSON reader checks first, each value is
+    checked by its field's type hint: a spec raises ConfigError, any other
+    config dataclass DomainError, naming the field. Each was accepted (and
+    written to a manifest that did not reload), coerced, or raised an error
+    that named no key."""
+    with pytest.raises(ConfigError if factory is tiny_gauss_spec else DomainError) as err:
+        factory(**kwargs)
+    assert err.value.key == key
+
+
 def test_spec_window_holds_the_design_span_exactly():
     """The tiny design spans lattice points 100..105: a window of 6 points
     gives the farthest fitted point one learning row, 5 points give none."""
