@@ -80,48 +80,45 @@ def delta_curve(s: PairedSample, levels) -> np.ndarray:
     return (below_lo - below_hi) / s.n
 
 
-def _uniform_ranks(x, order=None):
-    # average ranks for ties, scaled into (0, 1]. The sort need not be stable:
-    # an untied element's rank is its sorted position, and a tied block [i, j)
-    # gets 0.5 * (i + 1 + j) whatever its inner order, so `order` may be any
-    # permutation that sorts x. Untied input allocates only the n-byte `tied`
-    # mask beyond order and ranks.
+def _grid_bins(x, grid, order):
+    # index of the first grid point at or above each element's average
+    # uniform rank, found without the ranks. Ranks rise along `order`, so the
+    # elements at or below g_j are a prefix of it, of length m_j. An untied
+    # element at sorted position k has rank (k + 1) / n. q_j = floor(g_j n),
+    # lowered by one where q_j / n > g_j, is the largest q with q / n <= g_j
+    # or one less, so every tie block wholly before position q_j is in and
+    # every one wholly after it is out; the block at q_j is in or out whole by
+    # its rank 0.5 * (first + 1 + stop) / n. A block never splits across bins,
+    # so `order` may be any permutation that sorts x.
     n = x.size
-    if order is None:
-        order = np.argsort(x)
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = np.arange(1, n + 1, dtype=float)
-    # tied[k]: sorted elements k - 1 and k are equal (False at both ends)
-    tied = np.zeros(n + 1, dtype=bool)
-    xs = x[order]
-    np.equal(xs[1:], xs[:-1], out=tied[1:-1])
-    del xs
-    if tied.any():
-        starts = np.flatnonzero(tied[1:] & ~tied[:-1])
-        stops = np.flatnonzero(tied[:-1] & ~tied[1:]) + 1
-        in_block = tied[1:] | tied[:-1]
-        ranks[order[in_block]] = np.repeat(0.5 * (starts + 1 + stops), stops - starts)
-    ranks /= n
-    return ranks
+    q = np.floor(grid * n).astype(np.intp)
+    q -= q / n > grid
+    v = x[order[np.minimum(q, n - 1)]]
+    first = np.searchsorted(x, v, "left", sorter=order)
+    stop = np.searchsorted(x, v, "right", sorter=order)
+    m = np.where(0.5 * (first + 1 + stop) / n <= grid, stop, first)
+    bins = np.empty(n, dtype=np.int16)
+    bins[order] = np.repeat(np.arange(grid.size, dtype=np.int16), np.diff(m, prepend=0))
+    return bins
 
 
 def _copula_diagonal(s: PairedSample, grid):
     # numpy's argsort releases the GIL, so one worker sorts b while this
-    # thread ranks a. The worker runs np.argsort and nothing else: a traced
-    # tailcast function called on it would share this thread's span stack.
-    # Ranking both margins at once would hold both rankings' arrays and raise
-    # the traced peak per pair. Leaving the with block joins the worker,
-    # whether the ranking returns or raises.
+    # thread sorts and bins a. The worker runs np.argsort and nothing else: a
+    # traced tailcast function called on it would share this thread's span
+    # stack. A pair is at or below g_j in both margins exactly when the larger
+    # of its two bins is at most j, so the diagonal counts 2-byte bins, never
+    # float ranks. Leaving the with block joins the worker, whether the
+    # binning returns or raises.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         order_b = pool.submit(np.argsort, s.b)
-        u = _uniform_ranks(s.a)
-        v = _uniform_ranks(s.b, order_b.result())
+        u = _grid_bins(s.a, grid, np.argsort(s.a))
+        v = _grid_bins(s.b, grid, order_b.result())
     w = np.maximum(u, v, out=u)
-    del v
     w.sort()
-    return np.searchsorted(w, grid, side="right") / s.n
+    return np.searchsorted(w, np.arange(grid.size, dtype=np.int16), side="right") / s.n
 
 
 def gini_empirical(s: PairedSample) -> float:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError, check_fields
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -24,10 +26,10 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) <= _MASK64):
-            raise ValueError("seed must fit in 64 bits")
-        if not (0 <= int(self.stream) <= _MASK64):
-            raise ValueError("stream id must fit in 64 bits")
+        check_fields(self)
+        for key in ("seed", "stream"):
+            if not 0 <= getattr(self, key) <= _MASK64:
+                raise DomainError(f"{key} must fit in 64 bits", key=key)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Fresh generator for this stream, optionally extended by sub-indices.
@@ -35,8 +37,8 @@ class RngStream:
         Each call returns a new generator starting from the same state, so
         a consumer owns its draw sequence end to end.
         """
-        key = (int(self.stream),) + tuple(int(p) for p in path)
-        seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=key)
+        key = (self.stream,) + tuple(int(p) for p in path)
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(seq))
 
 

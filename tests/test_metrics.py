@@ -10,7 +10,7 @@ from tailcast.metrics import (
     _COPULA_GRID,
     PairedSample,
     _copula_diagonal,
-    _uniform_ranks,
+    _grid_bins,
     delta_curve,
     excursion_metric_empirical,
     gaussian_copula_diag,
@@ -146,7 +146,7 @@ def test_gini_needs_ten_pairs():
 
 
 def uniform_ranks_oracle(x):
-    """The stable-sort, element-by-element tie loop that _uniform_ranks replaced."""
+    """Average uniform ranks by a stable sort and an element-by-element tie loop."""
     order = np.argsort(x, kind="stable")
     ranks = np.empty(x.size, dtype=float)
     ranks[order] = np.arange(1, x.size + 1, dtype=float)
@@ -175,13 +175,63 @@ def rank_inputs():
     }
 
 
+def grid_bins_oracle(x, grid):
+    """The first grid point at or above each oracle rank, found by search."""
+    return np.searchsorted(grid, uniform_ranks_oracle(x), "left").astype(np.int16)
+
+
 @pytest.mark.parametrize("name", sorted(rank_inputs()))
-def test_uniform_ranks_equal_tie_loop_oracle(name):
+def test_grid_bins_equal_tie_loop_oracle(name):
     x = rank_inputs()[name]
-    got = _uniform_ranks(x)
-    want = uniform_ranks_oracle(x)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    got = _grid_bins(x, _COPULA_GRID, np.argsort(x))
+    assert got.tobytes() == grid_bins_oracle(x, _COPULA_GRID).tobytes()
+
+
+def edge_grid(n, k):
+    """Each k / n and the float just below it, closed at 1: grid points where
+    floor(g * n) is sometimes one above, and sometimes one below, the count."""
+    g = k / n
+    return np.unique(np.concatenate([g, np.nextafter(g, -1.0), [1.0]]).clip(0.0, 1.0))
+
+
+@pytest.mark.parametrize("sizes", ["1..3000", "large"])
+def test_grid_bins_prefix_count_is_the_largest_q_with_q_over_n_at_most_g(sizes):
+    """On untied input the count of elements in bins <= j is q_j, the largest
+    q with q / n <= g_j in floating point, on the copula grid and on edge
+    grids (999,983 is prime)."""
+    below = above = False
+    for n in range(1, 3001) if sizes == "1..3000" else (999_999, 1_000_001, 2**20, 999_983):
+        k = np.arange(n + 1) if n <= 3000 else np.linspace(0, n, 4000).astype(np.intp)
+        for grid in (_COPULA_GRID, edge_grid(n, k)):
+            bins = _grid_bins(np.arange(n, dtype=float), grid, np.arange(n))
+            q = np.cumsum(np.bincount(bins, minlength=grid.size))
+            assert q.size == grid.size
+            assert np.all(q / n <= grid), n
+            assert np.all(grid < (q + 1) / n), n
+            guess = np.floor(grid * n)
+            below |= bool(np.any(guess < q))
+            above |= bool(np.any(guess > q))
+    assert below and above
+
+
+@pytest.mark.parametrize("n", [511, 1022])
+def test_grid_bins_straddling_tie_block_in_or_out_by_its_average_rank(n):
+    """At n = 511 and 1022 the untied rank k / n meets j / 511 at k = j n / 511.
+    A three-element tie block over sorted positions k - 2 .. k averages k / n,
+    holds positions q_j - 1 and q_j, and is counted in bin j whole when that
+    average is <= g_j (linspace puts g_j one ulp below j / 511 for 64 of the
+    j), else in bin j + 1 whole."""
+    grid, seen = _COPULA_GRID, set()
+    for j in range(2, grid.size - 1):
+        k = j * n // 511
+        x = np.arange(n, dtype=float)
+        x[k - 2:k + 1] = k - 2
+        bins = _grid_bins(x, grid, np.argsort(x))
+        assert bins.tobytes() == grid_bins_oracle(x, grid).tobytes()
+        inside = k / n <= grid[j]
+        assert np.all(bins[k - 2:k + 1] == (j if inside else j + 1))
+        seen.add(bool(inside))
+    assert seen == {True, False}
 
 
 # (gini, max excursion value, its level) as float.hex, recorded before the rank
@@ -212,19 +262,20 @@ TIED_RANK_INPUTS = ("n2_tied", "all_equal", "rounded_normal", "rounded_cauchy", 
 
 
 @pytest.mark.parametrize("name", TIED_RANK_INPUTS)
-def test_uniform_ranks_given_order_with_reversed_ties(name):
-    """A precomputed sorting permutation with every tied block in reverse
-    index order gives the ranks of the argsort _uniform_ranks makes itself."""
+def test_grid_bins_given_order_with_reversed_ties(name):
+    """A sorting permutation with every tied block in reverse index order
+    gives the bins of numpy's own argsort."""
     x = rank_inputs()[name]
     assert np.unique(x).size < x.size
     order = np.lexsort((-np.arange(x.size), x))
-    assert _uniform_ranks(x, order).tobytes() == _uniform_ranks(x).tobytes()
+    got = _grid_bins(x, _COPULA_GRID, order)
+    assert got.tobytes() == _grid_bins(x, _COPULA_GRID, np.argsort(x)).tobytes()
 
 
 def serial_copula_diagonal(s, grid):
-    """Both margins ranked on the calling thread, then a sorted copy of their
-    maximum: the formula _copula_diagonal had before it overlapped the sorts."""
-    ua, ub, n = _uniform_ranks(s.a), _uniform_ranks(s.b), s.n
+    """Both margins' float average ranks, then a sorted copy of their
+    maximum: the formula the grid bins must reproduce bit for bit."""
+    ua, ub, n = uniform_ranks_oracle(s.a), uniform_ranks_oracle(s.b), s.n
     return np.searchsorted(np.sort(np.maximum(ua, ub)), grid, "right") / n
 
 
@@ -280,17 +331,16 @@ def gini_peak_bytes(s):
 
 
 def test_gini_memory_bounds():
-    """Peak traced bytes per pair at n = 200,000. The tie-loop kernel peaked at
-    40.0 B/pair on untied and rounded pairs alike (five float64 arrays); the
-    untied bound leaves less than one more float64 array of headroom, so a
-    kernel that keeps O(n) integer arrays on untied input fails it."""
+    """Peak traced bytes per pair at n = 200,000 on untied, rounded and
+    repeated pairs. The grid-bin kernel peaks at 20.2 B/pair on all three:
+    the two int64 sort orders, one margin's int16 bins and the int16 array
+    they are scattered from. Float ranks peaked at 33.0 / 42.1 / 50.0 B/pair,
+    so a kernel that keeps one more float64 array per pair fails the bound."""
     n = 200_000
     s = gauss_pairs(0.9, n)
-    assert gini_peak_bytes(s) < 45 * n
-    tied = [PairedSample(np.round(s.a, 2), np.round(s.b, 2)),
-            PairedSample(np.repeat(s.a[: n // 2], 2), np.repeat(s.b[: n // 2], 2))]
-    for t in tied:
-        assert gini_peak_bytes(t) < 64 * n
+    for t in [s, PairedSample(np.round(s.a, 2), np.round(s.b, 2)),
+              PairedSample(np.repeat(s.a[: n // 2], 2), np.repeat(s.b[: n // 2], 2))]:
+        assert gini_peak_bytes(t) < 24 * n
 
 
 def test_max_excursion_distance_dirac_form():

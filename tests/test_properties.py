@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from tailcast.distributions import Cauchy, Gaussian, Levy, StudentT  # noqa: E402
 from tailcast.errors import NonFiniteInput  # noqa: E402
 from tailcast.metrics import (  # noqa: E402
+    _COPULA_GRID,
     PairedSample,
-    _uniform_ranks,
+    _copula_diagonal,
     excursion_metric_empirical,
     gini_empirical,
 )
@@ -89,9 +90,13 @@ def test_rank_counts_equal_nxn_oracle_on_tied_arrays(f):
 
 
 @PROPERTY
-@given(x=tied_arrays())
-def test_uniform_ranks_equal_scipy_average_ranks(x):
-    assert np.array_equal(_uniform_ranks(x), stats.rankdata(x, "average") / x.size)
+@given(pair=tied_pairs() | heavy_pairs())
+def test_copula_diagonal_equals_scipy_average_rank_diagonal(pair):
+    _, s = pair
+    u = stats.rankdata(s.a, "average") / s.n
+    v = stats.rankdata(s.b, "average") / s.n
+    want = np.searchsorted(np.sort(np.maximum(u, v)), _COPULA_GRID, "right") / s.n
+    assert _copula_diagonal(s, _COPULA_GRID).tobytes() == want.tobytes()
 
 
 @PROPERTY

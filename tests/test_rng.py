@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tailcast.errors import DomainError
 from tailcast.rng import RngStream, as_generator
 
 
@@ -30,6 +31,23 @@ def test_seed_validation():
         RngStream(-1, 0)
     with pytest.raises(ValueError):
         RngStream(2**64, 0)
+
+
+@pytest.mark.parametrize("args, key", [((2.5,), "seed"), ((True,), "seed"), ((0, 2.5), "stream"),
+                                       ((-1,), "seed"), ((0, 2**64), "stream")])
+def test_seed_and_stream_must_be_64_bit_integers(args, key):
+    """A float or bool is refused, not truncated to another seed's stream,
+    and every refusal names its field."""
+    with pytest.raises(DomainError, match=key) as e:
+        RngStream(*args)
+    assert e.value.key == key
+
+
+def test_numpy_integer_seed_stored_as_int_with_the_same_stream():
+    s = RngStream(np.uint64(2**64 - 1), np.int64(3))
+    assert type(s.seed) is int and type(s.stream) is int
+    a = s.generator().standard_normal(4)
+    np.testing.assert_array_equal(a, RngStream(2**64 - 1, 3).generator().standard_normal(4))
 
 
 def test_as_generator_accepts_stream_generator_int():
