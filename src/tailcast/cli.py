@@ -15,11 +15,12 @@ import json
 import os
 import sys
 from importlib import resources
+from typing import Annotated
 
 import numpy as np
 
 from . import harness
-from .errors import ConfigError
+from .errors import UINT64, ConfigError, DomainError, at_least, between, checked
 from .metrics import PairedSample, gini_empirical
 from .processes import write_trajectory_csv
 from .rng import RngStream
@@ -127,13 +128,17 @@ def _demo_pairs(kind: str, rho: float, n: int, seed: int) -> PairedSample:
     raise ConfigError("pairs", f"unknown pair kind {kind!r}")
 
 
+# the type and range of each demo-metrics option; --seed's are ExperimentSpec.seed's
+_DEMO_OPTIONS = {"rho": Annotated[float, between(-1.0, 1.0)], "n": Annotated[int, at_least(10)],
+                 "seed": Annotated[int, UINT64]}
+
+
 def _cmd_demo_metrics(args) -> int:
-    if not (-1.0 <= args.rho <= 1.0):
-        raise ConfigError("rho", "must lie in [-1, 1]")
-    if args.n < 10:
-        raise ConfigError("n", "must be >= 10")
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError("seed", "must lie in [0, 2**64 - 1]")
+    try:
+        for key, hint in _DEMO_OPTIONS.items():
+            checked(key, hint, getattr(args, key))
+    except DomainError as exc:
+        raise ConfigError(exc.key, str(exc)) from None
     sample = _demo_pairs(args.pairs, args.rho, args.n, args.seed)
     gini = gini_empirical(sample)
     extra = f" rho={args.rho}" if args.pairs == "gaussian" else ""

@@ -15,10 +15,11 @@ import functools
 import math
 import reprlib
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteInput, check_fields
+from .errors import FINITE, POSITIVE, DomainError, NonFiniteInput, check_fields, finite_at_least
 
 __all__ = [
     "Marginal",
@@ -68,22 +69,16 @@ class Marginal:
     """Base class for the parametric families.
 
     A family is a frozen dataclass whose fields are its parameters, in the
-    order ``params()`` lists them; every one is stored as a float and must
-    be finite, and each name in ``_positive`` must be > 0. Subclasses implement
+    order ``params()`` lists them; every one is stored as a float, finite and
+    in the range its hint's rule states. Subclasses implement
     ``_cdf``/``_pdf``/``_quantile`` on float arrays and ``sample``; input
     checking and scalar/array symmetry live here.
     """
 
     family = "base"
-    _positive = ()
 
     def __post_init__(self):
         check_fields(self)
-        if not all(np.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise NonFiniteInput("parameters must be finite")
-        for name in self._positive:
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive", key=name)
 
     def _dispatch(self, impl, x):
         scalar = x.ndim == 0
@@ -114,16 +109,9 @@ class Marginal:
 class _LocationScale(Marginal):
     """Law of ``mu + sigma * Z`` for a standard law Z, whose kernels read ``_z(x)``."""
 
-    mu: float = 0.0
-    sigma: float = 1.0
-    _positive = ("sigma",)
-
-    def __post_init__(self):
-        super().__post_init__()
-        # below it, the kernels' (x - mu) / sigma overflows at every x
-        if self.sigma < np.finfo(float).tiny:
-            raise DomainError(f"sigma must be >= {np.finfo(float).tiny:g}, the smallest normal "
-                              "float", key="sigma")
+    mu: Annotated[float, FINITE] = 0.0
+    # below the smallest normal float, the kernels' (x - mu) / sigma overflows at every x
+    sigma: Annotated[float, finite_at_least(np.finfo(float).tiny)] = 1.0
 
     def _z(self, x):
         # the standard law skips the affine map: x - 0.0 and x / 1.0 are x,
@@ -183,9 +171,8 @@ class Levy(Marginal):
     a standard normal Z, which is also how sampling works.
     """
 
-    c: float = 1.0
+    c: Annotated[float, POSITIVE] = 1.0
     family = "levy"
-    _positive = ("c",)
 
     def _cdf(self, x):
         with np.errstate(all="ignore"):  # x <= 0 is masked out
@@ -223,9 +210,8 @@ class StudentT(_LocationScale):
     >= nu exist.
     """
 
-    nu: float = 1.0
+    nu: Annotated[float, POSITIVE] = 1.0
     family = "student_t"
-    _positive = ("sigma", "nu")
 
     def _cdf(self, x):
         z = self._z(x)

@@ -12,14 +12,17 @@
 
 Each derives from ValueError or RuntimeError, which the CLI turns into exit 1.
 
-``check_fields`` is the one type rule of the config dataclasses, here since
-every module with one imports this module: each ``__post_init__`` calls it
-first, so a value passed in Python and one read from JSON meet one rule,
-the one the field's type hint states.
+``check_fields`` is the one type and range rule of the config dataclasses,
+here since every module with one imports this module: each ``__post_init__``
+calls it first, so a value passed in Python and one read from JSON meet one
+rule, the one the field's type hint states. A hint ``Annotated[T, rule]``
+adds to the type T a ``Rule`` on the value's range, one of those below; the
+rules that relate two fields stay in the ``__post_init__`` as code.
 """
 
 import dataclasses
 import functools
+import math
 import numbers
 import reprlib
 import typing
@@ -64,14 +67,61 @@ _DESCRIBED = {int: "an integer", float: "a real number", bool: "a boolean", str:
               tuple: "a list of real numbers"}
 
 
+class Rule(typing.NamedTuple):
+    """A range rule: a value of a field hinted ``Annotated[T, rule]`` must
+    satisfy ``holds``, else ``checked`` raises "<key> must be <text>"."""
+
+    text: str
+    holds: typing.Callable
+
+
+def at_least(lo) -> Rule:
+    """An integer >= lo."""
+    return Rule(f">= {lo}", lambda v: v >= lo)
+
+
+def finite_at_least(lo) -> Rule:
+    """A real number >= lo, not infinite."""
+    return Rule(f"finite and >= {lo:g}", lambda v: lo <= v < math.inf)
+
+
+def between(lo, hi) -> Rule:
+    """A number in [lo, hi]."""
+    return Rule(f"in [{lo:g}, {hi:g}]", lambda v: lo <= v <= hi)
+
+
+def one_of(*values) -> Rule:
+    """One of ``values``."""
+    return Rule(f"one of {values}", values.__contains__)
+
+
+FINITE = Rule("finite", math.isfinite)
+POSITIVE = Rule("finite and > 0", lambda v: 0 < v < math.inf)
+POSITIVE_OR_INF = Rule("> 0", lambda v: v > 0)  # NaN fails it too
+NON_NEGATIVE = finite_at_least(0)
+COUNT = at_least(1)
+UINT64 = Rule("in [0, 2**64 - 1]", lambda v: 0 <= v < 2**64)
+FINITE_LIST = Rule("a non-empty list of finite numbers",
+                   lambda v: len(v) > 0 and all(map(math.isfinite, v)))
+INTERVAL = Rule("[lo, hi] with finite lo <= hi",
+                lambda v: len(v) == 2 and FINITE_LIST.holds(v) and v[0] <= v[1])
+
+
 def checked(key, hint, value):
     """``value`` in the form the type ``hint`` gives it, else DomainError
     naming ``key``. ``int`` takes a ``numbers.Integral`` and ``float`` a
     ``numbers.Real`` within the float range (a bool is neither); ``tuple`` a
     list or tuple of real numbers, stored as floats; ``Literal[...]`` one of
-    its strings; ``Optional[X]`` None or an X; any other class, or Union of
-    classes, an instance."""
+    its strings; ``Optional[X]`` None or an X; ``Annotated[X, rule, ...]``
+    an X that each rule holds; any other class, or Union of classes, an
+    instance."""
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Annotated:
+        value = checked(key, args[0], value)
+        for rule in args[1:]:
+            if not rule.holds(value):
+                raise DomainError(f"{key} must be {rule.text}", key=key)
+        return value
     if type(None) in args:  # Optional[X]: None, or what X takes
         (x,) = set(args) - {type(None)}
         return value if value is None else checked(key, x, value)
@@ -99,12 +149,14 @@ def checked(key, hint, value):
 
 @functools.cache
 def field_hints(cls) -> dict:
-    """The type hint of each field of dataclass ``cls`` by name, resolved once (do not mutate)."""
-    hints = typing.get_type_hints(cls)
+    """The type hint of each field of dataclass ``cls`` by name, its rules
+    kept, resolved once (do not mutate)."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 def check_fields(obj) -> None:
-    """Store each field of the frozen dataclass ``obj`` as ``checked`` reads it by its hint."""
+    """Store each field of the frozen dataclass ``obj`` as ``checked`` reads
+    it by its hint, in field order."""
     for name, hint in field_hints(type(obj)).items():
         object.__setattr__(obj, name, checked(name, hint, getattr(obj, name)))

@@ -25,14 +25,28 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from typing import Literal, Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
 from . import distributions
 from .csvio import write_csv
 from .distributions import Marginal
-from .errors import ConfigError, DivergedToNonFinite, DomainError, check_fields, checked, field_hints
+from .errors import (
+    COUNT,
+    FINITE_LIST,
+    INTERVAL,
+    NON_NEGATIVE,
+    POSITIVE,
+    UINT64,
+    ConfigError,
+    DivergedToNonFinite,
+    DomainError,
+    check_fields,
+    checked,
+    field_hints,
+    one_of,
+)
 from .metrics import wasserstein2_samples
 from .objective import (
     ForecastDesign,
@@ -106,22 +120,22 @@ class ExperimentSpec:
 
     name: str
     process: ProcessSpec
-    h: float
-    window: tuple
-    forecast_offsets: tuple
-    prediction_interval: tuple
+    h: Annotated[float, POSITIVE]
+    window: Annotated[tuple, INTERVAL]
+    forecast_offsets: Annotated[tuple, FINITE_LIST]
+    prediction_interval: Annotated[tuple, INTERVAL]
     predictor_kind: PredictorKind = "linear"
     variant: Variant = "Q3"
-    gamma: float = 5.0
+    gamma: Annotated[float, NON_NEGATIVE] = 5.0
     marginal_mode: Literal["known", "estimated"] = "known"
-    marginal_family: Optional[str] = None
-    max_rows: Optional[int] = None
+    marginal_family: Optional[Annotated[str, one_of(*distributions._FAMILIES)]] = None
+    max_rows: Optional[Annotated[int, COUNT]] = None
     descent: DescentConfig = field(default_factory=DescentConfig)
-    replicates: int = 1000
-    seed: int = 0
+    replicates: Annotated[int, COUNT] = 1000
+    seed: Annotated[int, UINT64] = 0
     warm_start: bool = True
     init_strategy: ColdStart = "unit"
-    init_count: int = 8
+    init_count: Annotated[int, COUNT] = 8
     wasserstein_raw: bool = False
 
     def __post_init__(self):
@@ -129,27 +143,10 @@ class ExperimentSpec:
             check_fields(self)
         except DomainError as exc:
             raise ConfigError(exc.key, str(exc)) from None
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ConfigError("h", "must be positive and finite")
-        for key in ("replicates", "init_count", "max_rows"):
-            if getattr(self, key) is not None and getattr(self, key) < 1:
-                raise ConfigError(key, "must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed", "must lie in [0, 2**64 - 1]")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigError("gamma", "must be finite and >= 0")
         if self.marginal_mode == "estimated" and not self.marginal_family:
             raise ConfigError("marginal_family", "required when marginal_mode is 'estimated'")
         if self.marginal_mode == "known":
             known_marginal(self.process)  # names marginal_mode for a process without one
-        for key in ("window", "prediction_interval"):
-            lo_hi = getattr(self, key)
-            if len(lo_hi) != 2 or not np.all(np.isfinite(lo_hi)) or lo_hi[1] < lo_hi[0]:
-                raise ConfigError(key, "must be [lo, hi] with finite lo <= hi")
-        if not self.forecast_offsets or not np.all(np.isfinite(self.forecast_offsets)):
-            raise ConfigError("forecast_offsets", "must be a non-empty list of finite numbers")
-        if self.marginal_family is not None and self.marginal_family not in distributions._FAMILIES:
-            raise ConfigError("marginal_family", f"must be one of {tuple(distributions._FAMILIES)}")
         # the geometry run_fit would otherwise trip over after simulating, in
         # exact integer lattice indices, so that no window is too long to check
         offsets = self.offset_indices
@@ -620,9 +617,7 @@ def run_eval(spec: ExperimentSpec, fits: FitResults, threads: Optional[int] = No
     """
     if threads is None:
         threads = _usable_cpus() if isinstance(spec.process, ArStudentT) else 1
-    threads = checked("threads", int, threads)
-    if threads < 1:
-        raise DomainError("threads must be >= 1", key="threads")
+    threads = checked("threads", Annotated[int, COUNT], threads)
     marginal = fits.marginal
     offsets = np.array(spec.offset_indices, dtype=int)
     grid = np.array(spec.grid_indices, dtype=int)

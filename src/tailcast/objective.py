@@ -39,13 +39,13 @@ the predictions. ``objective_value`` is its one-shot call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal, get_args
+from dataclasses import dataclass
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
 from .distributions import Marginal
-from .errors import DomainError, NonFiniteInput, check_fields
+from .errors import NON_NEGATIVE, DomainError, NonFiniteInput, check_fields
 from .processes import Trajectory, _aligned_index
 from .rng import as_generator
 
@@ -212,12 +212,10 @@ class ObjectiveSpec:
 
     variant: Variant
     marginal: Marginal
-    gamma: float = 0.0
+    gamma: Annotated[float, NON_NEGATIVE] = 0.0
 
     def __post_init__(self):
         check_fields(self)
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise DomainError("gamma must be finite and >= 0")
 
 
 def extract_learning_samples(traj: Trajectory, design: ForecastDesign, max_n=None, rng=None) -> LearningSamples:

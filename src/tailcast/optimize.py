@@ -27,11 +27,20 @@ import math
 import reprlib
 import time
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Annotated, Literal, get_args
 
 import numpy as np
 
-from .errors import DivergedToNonFinite, DomainError, NonFiniteInput, check_fields
+from .errors import (
+    COUNT,
+    NON_NEGATIVE,
+    POSITIVE,
+    POSITIVE_OR_INF,
+    DivergedToNonFinite,
+    DomainError,
+    NonFiniteInput,
+    check_fields,
+)
 from .objective import (  # noqa: F401  objective_value: perfbench/spans.py wraps it here
     LearningSamples,
     ObjectiveSpec,
@@ -68,37 +77,24 @@ class DescentConfig:
     """Step schedule, budget, stopping rule, selection and constraint set."""
 
     mode: Mode = "online"
-    a: float = 10.0
-    b: float = 10.0
-    beta: float = 0.7
-    max_iter: int = 300  # a float budget never runs out
-    tol: float = 0.0
+    a: Annotated[float, POSITIVE] = 10.0
+    b: Annotated[float, POSITIVE] = 10.0  # step(0) divides by b ** beta
+    beta: Annotated[float, POSITIVE] = 0.7
+    max_iter: Annotated[int, COUNT] = 300  # a float budget never runs out
+    tol: Annotated[float, NON_NEGATIVE] = 0.0  # inf would stop every chain at once
     burn_in: int = 0
     selection: Selection = "best"
     constraint: Constraint = "unconstrained"
-    radius: float = 1.0
-    trace_stride: int = 10
+    # NaN fails it too, which the manifest would not reload as equal
+    radius: Annotated[float, POSITIVE_OR_INF] = 1.0
+    trace_stride: Annotated[int, COUNT] = 10
 
     def __post_init__(self):
         check_fields(self)
-        if not (self.a > 0 and np.isfinite(self.a)):
-            raise DomainError("step scale a must be positive", key="a")
-        if not (self.b > 0 and np.isfinite(self.b)):  # step(0) divides by b ** beta
-            raise DomainError("step offset b must be positive", key="b")
         if self.mode == "online" and not (0.5 < self.beta <= 1.0):
             raise DomainError("online mode needs 0.5 < beta <= 1", key="beta")
-        if not (self.beta > 0 and np.isfinite(self.beta)):  # NaN too
-            raise DomainError("beta must be positive and finite", key="beta")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1", key="max_iter")
-        if not (self.tol >= 0 and math.isfinite(self.tol)):  # NaN too; inf stops every chain at once
-            raise DomainError("tol must be finite and >= 0", key="tol")
         if not (0 <= self.burn_in < self.max_iter):
             raise DomainError("burn_in must lie in [0, max_iter)", key="burn_in")
-        if not self.radius > 0:  # NaN too, which the manifest would not reload as equal
-            raise DomainError("radius must be > 0", key="radius")
-        if self.trace_stride < 1:
-            raise DomainError("trace_stride must be >= 1", key="trace_stride")
 
     def step(self, l: int) -> float:
         return self.a * (self.b + l) ** (-self.beta)

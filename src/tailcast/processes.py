@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union, get_args
+from typing import Annotated, Union, get_args
 
 import numpy as np
 
 from .csvio import write_csv
 from .distributions import Cauchy, Gaussian, Levy, Marginal
-from .errors import DomainError, NonFiniteInput, check_fields
+from .errors import FINITE_LIST, DomainError, NonFiniteInput, check_fields, one_of
 
 __all__ = [
     "Trajectory",
@@ -116,12 +116,10 @@ class StableMovingAverage:
     """
 
     kind = "stable_ma"
-    alpha: float
+    alpha: Annotated[float, one_of(0.5, 1.0)]
 
     def __post_init__(self):
         check_fields(self)
-        if self.alpha not in (0.5, 1.0):
-            raise DomainError(f"alpha must be 0.5 or 1.0, got {self.alpha}", key="alpha")
 
     @property
     def kernel(self) -> np.ndarray:
@@ -142,13 +140,11 @@ class ArStudentT:
 
     kind = "ar_student_t"
     marginal = None  # no closed form
-    phi: tuple
+    phi: Annotated[tuple, FINITE_LIST]
     innovation: Marginal
 
     def __post_init__(self):
         check_fields(self)
-        if len(self.phi) < 1 or not all(np.isfinite(self.phi)):
-            raise DomainError("need at least one finite coefficient", key="phi")
         # characteristic polynomial 1 - sum_j phi_j z^(p-j+1); lag-k
         # coefficient is phi_{p-k+1}
         a = np.array(self.phi[::-1])  # a[k-1] multiplies lag k

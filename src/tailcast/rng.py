@@ -10,26 +10,22 @@ than by scheduling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import DomainError, check_fields
-
-_MASK64 = (1 << 64) - 1
+from .errors import UINT64, check_fields
 
 
 @dataclass(frozen=True)
 class RngStream:
     """Identifier of a reproducible random stream."""
 
-    seed: int
-    stream: int = 0
+    seed: Annotated[int, UINT64]
+    stream: Annotated[int, UINT64] = 0
 
     def __post_init__(self):
         check_fields(self)
-        for key in ("seed", "stream"):
-            if not 0 <= getattr(self, key) <= _MASK64:
-                raise DomainError(f"{key} must fit in 64 bits", key=key)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Fresh generator for this stream, optionally extended by sub-indices.

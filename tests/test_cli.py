@@ -286,6 +286,9 @@ def test_infinite_tol_exit_code_before_simulating(tmp_path, capsys, monkeypatch,
     ({"u" * 10**5: 1}, reprlib.repr("u" * 10**5)[1:-1]),
     ({"process": {**AR3, "innovation": {"family": "student_t", "params": {"p" * 10**5: 1.0}}}},
      "process.innovation"),
+    # a non-finite parameter of the innovation law (JSON's Infinity)
+    ({"process": {**AR3, "innovation": {"family": "student_t", "params": {"nu": float("inf")}}}},
+     "process.innovation"),
     # a subnormal scale, which would make every kernel call overflow
     ({"process": {**AR3, "innovation": {"family": "student_t",
                                         "params": {"mu": 0.0, "sigma": 5e-324, "nu": 0.8}}}},
@@ -370,6 +373,8 @@ def test_demo_metrics_bad_rho(capsys):
     (["--n", "-3"], "'n'"),
     (["--seed", "-1"], "'seed'"),
     (["--seed", str(2**64)], "'seed'"),
+    (["--rho", "nan"], "'rho'"),
+    (["--rho", "-1.0000001"], "'rho'"),
 ])
 def test_demo_metrics_bad_n_or_seed_exit_code_before_drawing(monkeypatch, capsys, argv, key):
     import tailcast.cli as cli
@@ -379,6 +384,15 @@ def test_demo_metrics_bad_n_or_seed_exit_code_before_drawing(monkeypatch, capsys
     assert run(["demo-metrics", "--pairs", "independent", *argv]) == 2
     assert key in capsys.readouterr().err
     assert drawn == []
+
+
+def test_demo_metrics_seed_refused_by_the_rule_of_the_config_seed(tmp_path, capsys):
+    """--seed and a config's seed meet one 64-bit rule, with one message."""
+    assert run(["demo-metrics", "--pairs", "independent", "--seed", str(2**64)]) == 2
+    demo = capsys.readouterr().err
+    cfg = tiny_config(tmp_path, seed=2**64)
+    assert run(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert demo == capsys.readouterr().err == "error: config key 'seed': seed must be in [0, 2**64 - 1]\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "benchmark", "evaluate"])
